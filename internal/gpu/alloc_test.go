@@ -8,6 +8,7 @@ import (
 	"gpummu/internal/kernels"
 	"gpummu/internal/stats"
 	"gpummu/internal/vm"
+	"gpummu/internal/workloads"
 )
 
 // benchCore builds a GPU around a manually dispatched single block so tests
@@ -27,6 +28,7 @@ func benchCore(t *testing.T, cfg config.Hardware, blockDim int) (*Core, *Block, 
 	c := g.cores[0]
 	b := newBlock(c, 0, 0)
 	c.blocks = append(c.blocks, b)
+	c.liveDirty = true
 	return c, b, data
 }
 
@@ -130,5 +132,71 @@ func TestExecMemSteadyStateAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(200, runOnce)
 	if avg != 0 {
 		t.Fatalf("warm execMem allocates %.2f objects per instruction, want 0", avg)
+	}
+}
+
+// TestGatedSleepAllocFree pins the blocking-MMU idle path: a core whose
+// memory instruction is refused by the MMU gate records its issue attempts
+// once, then sleeps until the walk completes, replaying those attempts at
+// every skipped step. With observability off the gated tick and the replay
+// perform zero heap allocations once warm.
+func TestGatedSleepAllocFree(t *testing.T) {
+	cfg := config.SmallTest()
+	cfg.MMU = config.NaiveMMU(3)
+	c, _, _ := benchCore(t, cfg, 64) // two warps, 32 pages each
+	gateAt := engine.Cycle(0)
+	for i := 0; i < 100 && len(c.gated) == 0; i++ {
+		_, next := c.tick(gateAt)
+		if len(c.gated) == 0 {
+			gateAt = next
+		}
+	}
+	const sleep = 4
+	if len(c.gated) == 0 || c.wakeAt <= gateAt+sleep {
+		t.Fatalf("no gated sleep: gated=%d at cycle %d, wakeAt=%d", len(c.gated), gateAt, c.wakeAt)
+	}
+	lanes := c.st.ActiveLanes.Count()
+	runOnce := func() {
+		c.wakeAt = 0 // force the gated tick to run again
+		c.phaseCompute(gateAt)
+		for k := engine.Cycle(1); k <= sleep; k++ {
+			c.phaseCompute(gateAt + k)
+			if c.tkKind != tkSkipped {
+				t.Fatalf("cycle %d: gated core ticked before its walk completed", gateAt+k)
+			}
+		}
+	}
+	runOnce()
+	if got, want := c.st.ActiveLanes.Count()-lanes, uint64((1+sleep)*len(c.gated)); got != want {
+		t.Fatalf("gated tick + %d skipped steps observed %d issue attempts, want %d", sleep, got, want)
+	}
+	if avg := testing.AllocsPerRun(200, runOnce); avg != 0 {
+		t.Fatalf("gated tick + sleep allocates %.2f objects per run, want 0", avg)
+	}
+}
+
+// BenchmarkRunBlocking times one exact run of mummergpu/tiny on the small
+// test machine behind the blocking naive 3-port MMU — figure 2's strawman,
+// where most core-cycles are spent behind the memory gate. The workload is
+// rebuilt outside the timer for every iteration, so ns/op and allocs/op
+// cover GPU construction and Run only.
+func BenchmarkRunBlocking(b *testing.B) {
+	cfg := config.SmallTest()
+	cfg.MMU = config.NaiveMMU(3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w, err := workloads.Build("mummergpu", workloads.SizeTiny, cfg.PageShift, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		g, err := New(cfg, w.AS, &stats.Sim{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.Run(w.Launch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -47,20 +47,23 @@ type Core struct {
 
 	// wakeAt is the earliest cycle at which a real tick can do anything the
 	// last real tick could not: the issue stage freeing (after an issue) or
-	// the earliest warp/walk event (after a no-issue tick). While
-	// now < wakeAt the core's state is frozen — warps only change through
-	// the core's own ticks — so Run skips the full tick and instead emulates
-	// its return value with a cheap warp scan bounded by sleepCap (see
-	// DESIGN.md "Performance model" for the exactness argument). A tick that
-	// was blocked by the MMU memory gate sets wakeAt = now: gated issue
-	// attempts observe per-candidate statistics every cycle the core is
-	// polled, so those ticks must really run. CCWS-family schedulers decay
+	// the earliest warp/walk event (after a no-issue tick, including one
+	// blocked by the MMU memory gate, whose gate cannot open before its
+	// first outstanding walk completes). While now < wakeAt the core's state
+	// is frozen — warps only change through the core's own ticks — so Run
+	// skips the full tick and instead emulates it: a cheap warp scan bounded
+	// by sleepCap yields its return value, and the gated issue attempts it
+	// would repeat are replayed from gated (see DESIGN.md "Performance
+	// model" for the exactness argument). CCWS-family schedulers decay
 	// their locality scores on a wall-clock cadence, which makes their
 	// behaviour tick-cadence sensitive — those cores set skippable=false
 	// and are ticked every global step, exactly as before.
 	wakeAt    engine.Cycle
 	sleepCap  engine.Cycle
 	skippable bool
+	// gated lists, in scheduler order, the issue attempts the last real tick
+	// made behind the memory gate; empty unless that tick issued nothing.
+	gated []issueAttempt
 
 	// Per-core scratch buffers, reused across instructions so steady-state
 	// execution performs no heap allocation. Owned by this core only; never
@@ -112,6 +115,7 @@ func newCore(id int, g *GPU) *Core {
 	c.skippable = !(c.sched.ccwsFamily() && cfg.Sched.DecayPeriod > 0)
 	c.scratch.words = (cfg.WarpsPerCore + 63) / 64
 	c.warpBuf = make([]*Warp, 0, cfg.WarpsPerCore)
+	c.gated = make([]issueAttempt, 0, cfg.WarpsPerCore)
 	return c
 }
 
@@ -122,6 +126,7 @@ func (c *Core) reset() {
 	c.nextIssue = 0
 	c.wakeAt = 0
 	c.sleepCap = 0
+	c.gated = c.gated[:0]
 	c.liveDirty = true
 	c.pend = pendMem{}
 	c.pendRetire = nil
@@ -308,24 +313,31 @@ func (c *Core) phaseCompute(now engine.Cycle) {
 	}
 	if c.skippable && now < c.wakeAt {
 		// The core's warp set is frozen until wakeAt, so a real tick would
-		// be a pure no-op; emulate its return value with a bounded warp
-		// scan (the "hint" the pristine loop produced) instead of running
-		// maintain/order/step. See DESIGN.md "Performance model" for the
-		// exactness argument.
-		ev := c.sleepCap
-		anyWarp := false
-		for _, b := range c.blocks {
-			for _, w := range b.warps {
-				if w.state == WDone {
-					continue
-				}
-				anyWarp = true
-				if w.state == WReady && w.readyAt > now && w.readyAt < ev {
-					ev = w.readyAt
+		// only repeat the last tick's gated issue attempts; replay those and
+		// emulate its return value with a bounded warp scan (the "hint" the
+		// pristine loop produced) instead of running maintain/order/step.
+		// See DESIGN.md "Performance model" for the exactness argument.
+		// The scan's result stands until the clock reaches it, so a core
+		// skipped at the previous step rescans only once it has.
+		ev, anyWarp := c.tkEv, true
+		if c.tkKind != tkSkipped || now >= ev {
+			ev, anyWarp = c.sleepCap, false
+			for _, b := range c.blocks {
+				for _, w := range b.warps {
+					if w.state == WDone {
+						continue
+					}
+					anyWarp = true
+					if w.state == WReady && w.readyAt > now && w.readyAt < ev {
+						ev = w.readyAt
+					}
 				}
 			}
 		}
 		if anyWarp {
+			for _, a := range c.gated {
+				c.attempt(now, a)
+			}
 			c.tkKind = tkSkipped
 			c.tkEv = ev
 			return
@@ -344,6 +356,7 @@ func (c *Core) phaseCompute(now engine.Cycle) {
 // must reach shared structures. It reports whether anything issued and the
 // next cycle at which this core has work to do.
 func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
+	c.gated = c.gated[:0]
 	if len(c.blocks) == 0 {
 		return false, noEvent
 	}
@@ -399,6 +412,7 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 		}
 	}
 	if issued > 0 {
+		c.gated = c.gated[:0]
 		c.sched.afterIssue()
 		c.nextIssue = now + engine.Cycle(c.g.cfg.IssuePeriod())
 		c.wakeAt, c.sleepCap = c.nextIssue, c.nextIssue
@@ -413,15 +427,13 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 		}
 	}
 	if memGated {
+		// Nothing but a walk completion opens the gate: until then a
+		// re-tick would repeat exactly the attempts recorded in gated.
 		if ev := c.mmu.NextEvent(now); ev != 0 && ev < next {
 			next = ev
 		}
-		// Gated issue attempts observe per-candidate statistics, so the
-		// core must really tick at every global step while blocked.
-		c.wakeAt = now
-	} else {
-		c.wakeAt, c.sleepCap = next, noEvent
 	}
+	c.wakeAt, c.sleepCap = next, next
 	if next == noEvent {
 		// All warps waiting on barriers/TBC with no timer: the releasing
 		// event happens when another warp arrives, which requires some
@@ -442,16 +454,14 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 // semantics: memory instructions stall while walks are outstanding, but
 // non-memory instructions from other warps proceed).
 func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
-	in := &c.g.launch.Program.Code[w.curPC()]
-	lanes := countLanes(w.curLanes())
-	c.st.ActiveLanes.Observe(lanes)
-	if c.g.tracer != nil {
-		c.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
-			Block: int32(w.block.id), Warp: int16(w.slot),
-			A: uint64(w.curPC()), B: uint64(lanes)})
-	}
+	pc := w.curPC()
+	in := &c.g.launch.Program.Code[pc]
+	a := issueAttempt{block: int32(w.block.id), warp: int16(w.slot), pc: pc,
+		lanes: int32(countLanes(w.curLanes()))}
+	c.attempt(now, a)
 	if in.Kind == kernels.KindLoad || in.Kind == kernels.KindStore {
 		if !c.mmu.CanAcceptMemOp(now) {
+			c.gated = append(c.gated, a)
 			return false, true
 		}
 		c.execMemCompute(now, w, in)
@@ -461,4 +471,24 @@ func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
 	c.execCtrlOrALU(now, w, in)
 	c.st.Instructions.Inc()
 	return true, false
+}
+
+// issueAttempt identifies one warp issue attempt: the warp's block and
+// scheduler slot, its PC, and its active lane count. It holds no pointers,
+// so a recorded attempt never keeps a retired block reachable.
+type issueAttempt struct {
+	block int32
+	warp  int16
+	pc    int32
+	lanes int32
+}
+
+// attempt records the side effects of an issue attempt, whether or not it
+// issues: the ActiveLanes observation and, when tracing, the EvIssue event.
+func (c *Core) attempt(now engine.Cycle, a issueAttempt) {
+	c.st.ActiveLanes.Observe(int(a.lanes))
+	if c.g.tracer != nil {
+		c.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
+			Block: a.block, Warp: a.warp, A: uint64(a.pc), B: uint64(a.lanes)})
+	}
 }

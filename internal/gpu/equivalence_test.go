@@ -67,6 +67,60 @@ func TestDivergenceModesFunctionallyEquivalent(t *testing.T) {
 	}
 }
 
+// statsCase is one pinned simulation: a tiny workload on config.SmallTest
+// with mutate applied.
+type statsCase struct {
+	name     string
+	workload string
+	mutate   func(*config.Hardware)
+}
+
+// goldenCases are the configurations whose complete stats.Sim output is
+// committed under testdata/ and replayed at every -par worker count.
+var goldenCases = []statsCase{
+	// Divergent workload through TBC compaction + the augmented
+	// (non-blocking, PTW-scheduled) MMU: exercises multi-warp page
+	// attribution and the cache-overlap path.
+	{"bfs_tbc_augmented", "bfs", func(c *config.Hardware) {
+		c.MMU = config.AugmentedMMU()
+		c.TBC.Mode = config.DivTBC
+	}},
+	// Divergent workload on the blocking naive MMU: exercises the
+	// memory-gate / MMU.NextEvent fast-forward horizon.
+	{"bfs_naive_blocking", "bfs", func(c *config.Hardware) {
+		c.MMU = config.NaiveMMU(3)
+	}},
+	// CCWS decay is tick-cadence sensitive, so CCWS cores are exempt
+	// from event skipping; pin that path too.
+	{"bfs_ccws_naive", "bfs", func(c *config.Hardware) {
+		c.MMU = config.NaiveMMU(4)
+		c.Sched.Policy = config.SchedCCWS
+	}},
+	// Regular (coalesced) workload under the paper's recommended design.
+	{"kmeans_augmented", "kmeans", func(c *config.Hardware) {
+		c.MMU = config.AugmentedMMU()
+	}},
+	// TBC on the blocking MMU: a core asleep behind the memory gate must
+	// leave TBC's maintain round exactly where a re-tick would.
+	{"bfs_tbc_naive", "bfs", func(c *config.Hardware) {
+		c.MMU = config.NaiveMMU(3)
+		c.TBC.Mode = config.DivTBC
+	}},
+	// GTO on the blocking MMU: the gated candidate order depends on
+	// lastIssued, which must not move while the core sleeps.
+	{"bfs_gto_naive", "bfs", func(c *config.Hardware) {
+		c.MMU = config.NaiveMMU(3)
+		c.Sched.Policy = config.SchedGTO
+	}},
+	// Software-managed walks block the core even with hits-under-miss on:
+	// the other way into the memory gate.
+	{"memcached_swwalks", "memcached", func(c *config.Hardware) {
+		c.MMU = config.AugmentedMMU()
+		c.MMU.SoftwareWalks = true
+		c.MMU.SoftwareWalkOverhead = 300
+	}},
+}
+
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden stats snapshots in testdata/")
 
 // TestGoldenStatsSnapshot pins the complete stats.Sim output — cycle counts,
@@ -78,35 +132,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden stats s
 //
 //	go test ./internal/gpu -run TestGoldenStatsSnapshot -update-golden
 func TestGoldenStatsSnapshot(t *testing.T) {
-	cases := []struct {
-		name     string
-		workload string
-		mutate   func(*config.Hardware)
-	}{
-		// Divergent workload through TBC compaction + the augmented
-		// (non-blocking, PTW-scheduled) MMU: exercises multi-warp page
-		// attribution and the cache-overlap path.
-		{"bfs_tbc_augmented", "bfs", func(c *config.Hardware) {
-			c.MMU = config.AugmentedMMU()
-			c.TBC.Mode = config.DivTBC
-		}},
-		// Divergent workload on the blocking naive MMU: exercises the
-		// memory-gate / MMU.NextEvent fast-forward horizon.
-		{"bfs_naive_blocking", "bfs", func(c *config.Hardware) {
-			c.MMU = config.NaiveMMU(3)
-		}},
-		// CCWS decay is tick-cadence sensitive, so CCWS cores are exempt
-		// from event skipping; pin that path too.
-		{"bfs_ccws_naive", "bfs", func(c *config.Hardware) {
-			c.MMU = config.NaiveMMU(4)
-			c.Sched.Policy = config.SchedCCWS
-		}},
-		// Regular (coalesced) workload under the paper's recommended design.
-		{"kmeans_augmented", "kmeans", func(c *config.Hardware) {
-			c.MMU = config.AugmentedMMU()
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.SmallTest()
 			tc.mutate(&cfg)
@@ -159,32 +185,13 @@ func TestGoldenStatsSnapshot(t *testing.T) {
 // configuration so par=8 exercises genuinely concurrent compute phases
 // rather than clamping to the core count.
 func TestParallelTickEquivalence(t *testing.T) {
-	cases := []struct {
-		name     string
-		workload string
-		mutate   func(*config.Hardware)
-	}{
-		{"bfs_tbc_augmented", "bfs", func(c *config.Hardware) {
-			c.MMU = config.AugmentedMMU()
-			c.TBC.Mode = config.DivTBC
-		}},
-		{"bfs_naive_blocking", "bfs", func(c *config.Hardware) {
-			c.MMU = config.NaiveMMU(3)
-		}},
-		{"bfs_ccws_naive", "bfs", func(c *config.Hardware) {
-			c.MMU = config.NaiveMMU(4)
-			c.Sched.Policy = config.SchedCCWS
-		}},
-		{"kmeans_augmented", "kmeans", func(c *config.Hardware) {
-			c.MMU = config.AugmentedMMU()
-		}},
-		{"memcached_tcws_shared_16core", "memcached", func(c *config.Hardware) {
+	cases := append(goldenCases[:len(goldenCases):len(goldenCases)],
+		statsCase{"memcached_tcws_shared_16core", "memcached", func(c *config.Hardware) {
 			c.NumCores = 16
 			c.MMU = config.AugmentedMMU()
 			c.MMU.SharedTLBEntries = 512
 			c.Sched.Policy = config.SchedTCWS
-		}},
-	}
+		}})
 	run := func(t *testing.T, tc int, par int) ([]byte, uint64, uint64) {
 		cfg := config.SmallTest()
 		cases[tc].mutate(&cfg)

@@ -45,8 +45,8 @@ type GPU struct {
 	// its front, so the blocks that do run detailed remain an unbiased
 	// sample of the grid even when per-block cost drifts with block id.
 	ffSkip []bool
-	tracer     Tracer
-	shared     *core.SharedTLB // non-nil only with the shared-L2-TLB extension
+	tracer Tracer
+	shared *core.SharedTLB // non-nil only with the shared-L2-TLB extension
 
 	// Invariants enables the debug-build invariant checker: Run audits SIMT
 	// stacks, TLB-vs-page-table coherence, MSHR bookkeeping, and L2 slice
@@ -377,10 +377,10 @@ func (g *GPU) runLoop(rs *runState, until engine.Cycle) error {
 			}
 		}
 		if g.tracer != nil {
+			// Skipped cores replay gated issue events too, so flush every
+			// core with a non-empty buffer, not only the ticked ones.
 			for _, c := range g.cores {
-				if c.tkKind == tkTicked {
-					c.flushEvents()
-				}
+				c.flushEvents()
 			}
 		}
 		// Sampling happens after commits: every core's cycle-now state is

@@ -439,10 +439,3 @@ func (c *Core) funcAccess(t *Thread, va uint64, in *kernels.Instr, isStore bool)
 	}
 	t.regs[in.Dst] = v
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

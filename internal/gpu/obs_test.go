@@ -2,9 +2,13 @@ package gpu
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,13 +20,13 @@ import (
 	"gpummu/internal/workloads"
 )
 
-// traceRun runs the tiny bfs workload with a Chrome tracer and sampler
-// attached under the given worker count, returning the raw trace bytes and
-// the run's statistics.
-func traceRun(t *testing.T, workers int) ([]byte, *stats.Sim) {
+// traceRun runs the tiny bfs workload on the given MMU with a Chrome tracer
+// and sampler attached under the given worker count, returning the raw
+// trace bytes and the run's statistics.
+func traceRun(t *testing.T, mmu config.MMU, workers int) ([]byte, *stats.Sim) {
 	t.Helper()
 	cfg := config.SmallTest()
-	cfg.MMU = config.AugmentedMMU()
+	cfg.MMU = mmu
 	w, err := workloads.Build("bfs", workloads.SizeTiny, cfg.PageShift, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +58,7 @@ func traceRun(t *testing.T, workers int) ([]byte, *stats.Sim) {
 // tracing path: the same workload produces byte-identical, schema-valid
 // Chrome trace JSON for any -par worker count.
 func TestChromeTraceGoldenAcrossPar(t *testing.T) {
-	golden, _ := traceRun(t, 1)
+	golden, _ := traceRun(t, config.AugmentedMMU(), 1)
 
 	var doc struct {
 		TraceEvents []struct {
@@ -85,12 +89,62 @@ func TestChromeTraceGoldenAcrossPar(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 8} {
-		got, _ := traceRun(t, workers)
+		got, _ := traceRun(t, config.AugmentedMMU(), workers)
 		if !bytes.Equal(golden, got) {
 			t.Fatalf("trace bytes differ between workers=1 (%d bytes) and workers=%d (%d bytes)",
 				len(golden), workers, len(got))
 		}
 	}
+}
+
+// TestChromeTraceGoldenNaive pins the Chrome trace of bfs/tiny on the
+// blocking naive MMU byte-for-byte against a committed (gzipped) file, at
+// every -par worker count. Cores spend most of this run behind the memory
+// gate, so the file pins every gated issue attempt's event. Regenerate only
+// for intentional timing-model changes, with
+//
+//	go test ./internal/gpu -run TestChromeTraceGoldenNaive -update-golden
+func TestChromeTraceGoldenNaive(t *testing.T) {
+	path := filepath.Join("testdata", "trace_bfs_naive.json.gz")
+	for _, workers := range []int{1, 2, 8} {
+		got, _ := traceRun(t, config.NaiveMMU(3), workers)
+		if *updateGolden && workers == 1 {
+			var gz bytes.Buffer
+			zw := gzip.NewWriter(&gz)
+			if _, err := zw.Write(got); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, gz.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := readGzip(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update-golden): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: trace (%d bytes) differs from %s (%d bytes)",
+				workers, len(got), path, len(want))
+		}
+	}
+}
+
+// readGzip returns the decompressed contents of a gzipped file.
+func readGzip(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(zr)
 }
 
 // TestSamplerFinalRowMatchesReport checks the forced end-of-run sample:

@@ -201,8 +201,11 @@ type Sim struct {
 	PageDivergence Hist // distinct 4 KB (or 2 MB) translations per warp mem op
 	LineDivergence Hist // distinct cache lines per warp mem op
 
-	// ActiveLanes records active lanes per issued warp instruction; its
-	// mean over the warp width is SIMD utilisation (what TBC improves).
+	// ActiveLanes records active lanes per warp issue *attempt*; its mean
+	// over the warp width is SIMD utilisation (what TBC improves). Attempts
+	// refused by the blocking MMU's memory gate count too, once per global
+	// step the core spends blocked, so on blocking MMUs the histogram is
+	// weighted towards gated memory instructions.
 	ActiveLanes Hist
 
 	// TLB.

@@ -54,7 +54,7 @@ if ! head -1 "$obs_tmp/series.csv" | grep -q '^cycle,instructions,'; then
 fi
 
 echo "== zero-alloc warm path with observability off"
-go test -run 'TestExecMemSteadyStateAllocFree' ./internal/gpu
+go test -run 'TestExecMemSteadyStateAllocFree|TestGatedSleepAllocFree' ./internal/gpu
 go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree' ./internal/vm
 
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
