@@ -12,8 +12,6 @@ import (
 
 	"gpummu/internal/config"
 	"gpummu/internal/experiments"
-	"gpummu/internal/gpu"
-	"gpummu/internal/stats"
 	"gpummu/internal/workloads"
 )
 
@@ -468,40 +466,6 @@ func BenchmarkExecutorWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(ran), "sims")
-			}
-		})
-	}
-}
-
-// BenchmarkParCoreWorkers measures intra-simulation scaling: one run of
-// the paper's recommended design with cores ticked by 1 vs 8 goroutines
-// (the -par flag). The sim_cycles metric must be identical across
-// sub-benchmarks — -par never changes simulated time, only wall time.
-// tools/bench.sh records the par1/par8 ratio into BENCH_parcore.json;
-// the speedup is only meaningful on multi-core hosts.
-func BenchmarkParCoreWorkers(b *testing.B) {
-	for _, par := range []int{1, 8} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := config.Baseline()
-				cfg.MMU = config.AugmentedMMU()
-				w, err := workloads.Build("kmeans", workloads.SizeSmall, cfg.PageShift, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := &stats.Sim{}
-				g, err := gpu.New(cfg, w.AS, st)
-				if err != nil {
-					b.Fatal(err)
-				}
-				g.Workers = par
-				b.StartTimer()
-				cycles, err := g.Run(w.Launch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(cycles), "sim_cycles")
 			}
 		})
 	}

@@ -55,7 +55,6 @@ func main() {
 		list     = flag.Bool("list", false, "list figures and exit")
 		verbose  = flag.Bool("v", false, "log every simulation run to stderr")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
-		par      = flag.Int("par", 1, "goroutines ticking cores inside each simulation (output is identical for any value)")
 		checkpt  = flag.Bool("checkpoint", false, "warm-start runs from per-workload post-build snapshots (output is identical either way)")
 		plan     = flag.String("sampleplan", "", "run every simulation under interval sampling warmup,detail,fastforward[,warm] (cycles); empty = exact")
 		smpRep   = flag.Bool("samplereport", false, "append the exact-vs-sampled validation table for -sampleplan (runs each workload twice)")
@@ -118,13 +117,6 @@ func main() {
 	workersV := *workers
 	if camp != nil && !isSet["j"] && camp.Run.Workers > 0 {
 		workersV = camp.Run.Workers
-	}
-	parV := *par
-	if camp != nil && !isSet["par"] {
-		parV = camp.Run.Par
-	}
-	if maxp := runtime.GOMAXPROCS(0); parV > maxp {
-		fatal("-par %d exceeds GOMAXPROCS(0)=%d: extra core-ticking workers cannot run in parallel and the phase barriers make the run slower, not faster (README %q); use -par <= %d or raise GOMAXPROCS", parV, maxp, "Parallel core ticking", maxp)
 	}
 	checkptV := *checkpt
 	if camp != nil && !isSet["checkpoint"] {
@@ -219,16 +211,15 @@ func main() {
 	}
 
 	opt := experiments.Options{
-		Size:        sz,
-		Seed:        seedV,
-		Machine:     machineFn,
-		Workload:    names,
-		Workers:     workersV,
-		Verbose:     *verbose,
-		CoreWorkers: parV,
-		Obs:         ob,
-		Checkpoint:  checkptV,
-		Sampling:    samplePlan,
+		Size:       sz,
+		Seed:       seedV,
+		Machine:    machineFn,
+		Workload:   names,
+		Workers:    workersV,
+		Verbose:    *verbose,
+		Obs:        ob,
+		Checkpoint: checkptV,
+		Sampling:   samplePlan,
 	}
 
 	var figs []experiments.Figure

@@ -1,10 +1,10 @@
-// Benchmark modes: -benchscaling records a per-worker (-par) scaling
-// curve for one workload, and -benchcheckpoint records the wall-clock
-// delta of checkpointed warm starts versus cold rebuilds over a
-// multi-config sweep sharing one workload. Both emit a single JSON object
-// on stdout, stamped with host CPU count, GOMAXPROCS, and the git SHA
-// handed in via -benchlabel, so appended BENCH records are attributable
-// to a machine and commit (tools/bench.sh does the appending; schemas in
+// Benchmark modes: -benchcheckpoint records the wall-clock delta of
+// checkpointed warm starts versus cold rebuilds over a multi-config sweep
+// sharing one workload, and -benchsampling records sampled-vs-exact wall
+// clock and accuracy per workload. Both emit a single JSON object on
+// stdout, stamped with host CPU count, GOMAXPROCS, and the git SHA handed
+// in via -benchlabel, so appended BENCH records are attributable to a
+// machine and commit (tools/bench.sh does the appending; schemas in
 // EXPERIMENTS.md).
 package main
 
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -56,86 +55,6 @@ func newBenchMeta(kind, workload, size, label string) benchMeta {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GitSHA:     label,
 	}
-}
-
-// scalingPoint is one -par measurement of the scaling curve.
-type scalingPoint struct {
-	Par            int     `json:"par"`
-	Seconds        float64 `json:"seconds"`
-	SimCycles      uint64  `json:"sim_cycles"`
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-	SpeedupVsPar1  float64 `json:"speedup_vs_par1"`
-	Oversubscribed bool    `json:"oversubscribed"` // par > GOMAXPROCS: expect a slowdown, not a speedup
-}
-
-type scalingRecord struct {
-	benchMeta
-	Points  []scalingPoint `json:"points"`
-	Skipped []int          `json:"skipped_oversubscribed,omitempty"` // -par points skipped (beyond GOMAXPROCS, no -allowoversub)
-}
-
-// runBenchScaling measures one workload under the same configuration at
-// each -par worker count and emits the curve as JSON. The workload is
-// built once and checkpoint-restored between points (the restore is part
-// of what this PR ships; byte-identical cycles across points double as
-// the production equivalence check). Points beyond GOMAXPROCS are skipped
-// by default — on a 1-CPU host they only measure barrier overhead, which
-// wastes bench time and pollutes the trajectory; -allowoversub restores
-// them (flagged oversubscribed in the record).
-func runBenchScaling(cfg config.Hardware, name, sizeName string, sz workloads.Size, seed uint64, pars []int, allowOversub bool, label string) error {
-	w, err := workloads.Build(name, sz, cfg.PageShift, seed)
-	if err != nil {
-		return err
-	}
-	img := snapshot.Capture(w.AS)
-
-	rec := scalingRecord{benchMeta: newBenchMeta("scaling", name, sizeName, label)}
-	var baseCycles uint64
-	var baseSecs float64
-	for _, par := range pars {
-		if par > runtime.GOMAXPROCS(0) && !allowOversub {
-			rec.Skipped = append(rec.Skipped, par)
-			fmt.Fprintf(os.Stderr, "# benchscaling par=%d: skipped (exceeds GOMAXPROCS=%d; -allowoversub measures it anyway)\n",
-				par, runtime.GOMAXPROCS(0))
-			continue
-		}
-		img.Restore(w.AS)
-		st := &stats.Sim{}
-		g, err := gpu.New(cfg, w.AS, st)
-		if err != nil {
-			return err
-		}
-		g.Workers = par
-		start := time.Now()
-		cycles, err := g.Run(w.Launch)
-		secs := time.Since(start).Seconds()
-		if err != nil {
-			return fmt.Errorf("par=%d: %w", par, err)
-		}
-		if w.Check != nil {
-			if err := w.Check(); err != nil {
-				return fmt.Errorf("par=%d: functional check: %w", par, err)
-			}
-		}
-		if len(rec.Points) == 0 {
-			baseCycles, baseSecs = cycles, secs
-		} else if cycles != baseCycles {
-			return fmt.Errorf("par=%d simulated %d cycles, par=%d simulated %d: parallel ticking must be byte-identical", par, cycles, rec.Points[0].Par, baseCycles)
-		}
-		rec.Points = append(rec.Points, scalingPoint{
-			Par:            par,
-			Seconds:        secs,
-			SimCycles:      cycles,
-			CyclesPerSec:   float64(cycles) / secs,
-			SpeedupVsPar1:  baseSecs / secs,
-			Oversubscribed: par > runtime.GOMAXPROCS(0),
-		})
-		fmt.Fprintf(os.Stderr, "# benchscaling par=%d: %.3fs, %d cycles\n", par, secs, cycles)
-	}
-	if len(rec.Points) == 0 {
-		return fmt.Errorf("-benchscaling: every -benchpars point exceeds GOMAXPROCS(0)=%d; pass -allowoversub to measure them anyway", runtime.GOMAXPROCS(0))
-	}
-	return writeBenchJSON(rec)
 }
 
 type checkpointRecord struct {
@@ -269,7 +188,7 @@ type samplingRecord struct {
 // acceptance gate reads aggregate_speedup, max_ipc_err and max_missrate_err;
 // digests_identical pins that fast-forward advanced architectural state
 // exactly.
-func runBenchSampling(cfg config.Hardware, names []string, sizeName string, sz workloads.Size, seed uint64, coreWorkers int, plan gpu.SamplePlan, label string) error {
+func runBenchSampling(cfg config.Hardware, names []string, sizeName string, sz workloads.Size, seed uint64, plan gpu.SamplePlan, label string) error {
 	cfg.MMU = config.AugmentedMMU()
 	rec := samplingRecord{
 		benchMeta: newBenchMeta("sampling", strings.Join(names, ","), sizeName, label),
@@ -277,7 +196,7 @@ func runBenchSampling(cfg config.Hardware, names []string, sizeName string, sz w
 	}
 	var exactSum, sampledSum float64
 	for _, name := range names {
-		r, err := experiments.CompareSampled(name, sz, cfg, seed, coreWorkers, plan)
+		r, err := experiments.CompareSampled(name, sz, cfg, seed, plan)
 		if err != nil {
 			return fmt.Errorf("-benchsampling %s: %w", name, err)
 		}
@@ -313,26 +232,6 @@ func runBenchSampling(cfg config.Hardware, names []string, sizeName string, sz w
 	fmt.Fprintf(os.Stderr, "# benchsampling aggregate: %.2fx (exact %.3fs / sampled %.3fs)\n",
 		rec.AggregateSpeedup, exactSum, sampledSum)
 	return writeBenchJSON(rec)
-}
-
-// parseParList parses the -benchpars comma list into worker counts.
-func parseParList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("%q: must be a positive integer", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }
 
 func writeBenchJSON(rec interface{}) error {

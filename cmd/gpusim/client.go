@@ -80,7 +80,6 @@ func runSubmit(args []string) error {
 	machine := fs.String("machine", "", "machine preset: baseline|small (ad-hoc)")
 	name := fs.String("name", "", "job name (ad-hoc; default adhoc)")
 	workers := fs.Int("j", 0, "simulation workers (0 = server default)")
-	par := fs.Int("par", 0, "core-ticking goroutines per simulation (0 = server default)")
 	checkpoint := fs.Bool("checkpoint", false, "warm-start runs from post-build snapshots")
 	plan := fs.String("sampleplan", "", "interval sampling plan warmup,detail,fastforward[,warm]")
 	wait := fs.Bool("wait", false, "poll until the job finishes")
@@ -94,7 +93,6 @@ func runSubmit(args []string) error {
 		Seed:       *seed,
 		Machine:    *machine,
 		Workers:    *workers,
-		Par:        *par,
 		Checkpoint: *checkpoint,
 		Sampling:   *plan,
 	}

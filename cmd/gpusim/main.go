@@ -67,12 +67,8 @@ func main() {
 		pwc      = flag.Int("pwc", 0, "page walk cache entries per core (0 = off; extension)")
 		cores    = flag.Int("cores", 0, "override core count (0 = 30)")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers when running several workloads")
-		par      = flag.Int("par", 1, "goroutines ticking cores inside one simulation (output is identical for any value)")
-		benchSc  = flag.Bool("benchscaling", false, "measure the -par scaling curve for one workload; emits a JSON record on stdout")
 		benchCk  = flag.Int("benchcheckpoint", 0, "measure checkpoint warm-start vs cold rebuild over N sweep configs sharing one workload; emits a JSON record on stdout")
 		benchSmp = flag.Bool("benchsampling", false, "measure sampled-vs-exact wall clock and accuracy per workload on the augmented MMU; emits a JSON record on stdout")
-		benchPar = flag.String("benchpars", "1,2,4,8", "comma list of -par points measured by -benchscaling")
-		oversub  = flag.Bool("allowoversub", false, "let -benchscaling measure -par points beyond GOMAXPROCS instead of skipping them")
 		benchLbl = flag.String("benchlabel", "", "commit label stamped into bench records (tools/bench.sh passes the git SHA)")
 		plan     = flag.String("sampleplan", "", "interval sampling plan warmup,detail,fastforward[,warm] in cycles; empty = exact runs")
 		list     = flag.Bool("list", false, "list workloads and exit")
@@ -259,9 +255,6 @@ func main() {
 	if camp != nil && !isSet["seed"] {
 		*seed = camp.Workloads.Seed
 	}
-	if camp != nil && !isSet["par"] {
-		*par = camp.Run.Par
-	}
 	samplePlan := gpu.SamplePlan{}
 	if camp != nil && !isSet["sampleplan"] {
 		samplePlan = camp.Run.Sampling
@@ -271,15 +264,6 @@ func main() {
 			fatal("-sampleplan: %v", err)
 		}
 		samplePlan = p
-	}
-	// Extra -par workers beyond GOMAXPROCS cannot run in parallel, and the
-	// two-phase barriers make the run strictly slower, so reject the silent
-	// slowdown up front. -benchscaling is exempt: measuring the oversubscribed
-	// points (with -allowoversub, flagged in the record) is the point of the
-	// mode.
-	benchMode := *benchSc || *benchCk > 0 || *benchSmp
-	if maxp := runtime.GOMAXPROCS(0); !benchMode && *par > maxp {
-		fatal("-par %d exceeds GOMAXPROCS(0)=%d: extra core-ticking workers cannot run in parallel and the phase barriers make the run slower, not faster (README %q); use -par <= %d or raise GOMAXPROCS", *par, maxp, "Parallel core ticking", maxp)
 	}
 	if camp != nil && !isSet["j"] && camp.Run.Workers > 0 {
 		*workers = camp.Run.Workers
@@ -333,35 +317,22 @@ func main() {
 		fatal("-events and -trace both claim the tracer; choose one")
 	}
 
-	if benchMode {
-		modes := 0
-		for _, on := range []bool{*benchSc, *benchCk > 0, *benchSmp} {
-			if on {
-				modes++
-			}
-		}
-		if modes > 1 {
-			fatal("-benchscaling, -benchcheckpoint and -benchsampling are separate modes; choose one")
-		}
-		if !*benchSmp && len(names) != 1 {
-			fatal("bench modes need a single workload (got %d)", len(names))
+	if *benchCk > 0 || *benchSmp {
+		if *benchCk > 0 && *benchSmp {
+			fatal("-benchcheckpoint and -benchsampling are separate modes; choose one")
 		}
 		var err error
-		switch {
-		case *benchSc:
-			pars, perr := parseParList(*benchPar)
-			if perr != nil {
-				fatal("-benchpars: %v", perr)
-			}
-			err = runBenchScaling(cfg, names[0], *size, sz, *seed, pars, *oversub, *benchLbl)
-		case *benchSmp:
+		if *benchSmp {
 			if !samplePlan.Enabled() {
 				// The validated default: windows long enough that the TLBs
 				// re-warm organically inside each warmup (DESIGN.md §15).
 				samplePlan = gpu.SamplePlan{Warmup: 20000, Detail: 20000, FastForward: 1000000}
 			}
-			err = runBenchSampling(cfg, names, *size, sz, *seed, *par, samplePlan, *benchLbl)
-		default:
+			err = runBenchSampling(cfg, names, *size, sz, *seed, samplePlan, *benchLbl)
+		} else {
+			if len(names) != 1 {
+				fatal("-benchcheckpoint needs a single workload (got %d)", len(names))
+			}
 			err = runBenchCheckpoint(cfg, names[0], *size, sz, *seed, *benchCk, *benchLbl)
 		}
 		if err != nil {
@@ -394,7 +365,6 @@ func main() {
 		if err != nil {
 			return outcome{err: err}
 		}
-		g.Workers = *par
 		g.WatchdogWindow = *watchdog
 		g.MaxCycles = *maxCyc
 		g.Deadline = deadlineAt

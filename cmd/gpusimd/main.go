@@ -37,7 +37,6 @@ func main() {
 		store    = flag.String("store", "", "state directory for the durable store, manifest and reports; empty = in-memory")
 		addrFile = flag.String("addrfile", "", "write the server's base URL to this file once the listener is bound")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "default simulation workers for campaigns that don't set run.workers")
-		par      = flag.Int("par", 1, "default goroutines ticking cores inside one simulation (output is identical for any value)")
 		timeout  = flag.Duration("jobtimeout", 0, "wall-clock budget per job when the campaign sets no obs.deadline (0 = unbounded); enforced even while a job waits for simulation slots")
 		jobs     = flag.Int("jobs", 0, "jobs executing concurrently (0 = GOMAXPROCS-aware default); reports are byte-identical for any value")
 		slots    = flag.Int("slots", 0, "global simulation-slot budget shared by all in-flight jobs (0 = the -j value), so jobs x workers never oversubscribes the host")
@@ -45,12 +44,11 @@ func main() {
 	flag.Parse()
 
 	srv, err := service.NewServer(service.Options{
-		Dir:         *store,
-		Workers:     *workers,
-		CoreWorkers: *par,
-		JobTimeout:  *timeout,
-		Jobs:        *jobs,
-		Slots:       *slots,
+		Dir:        *store,
+		Workers:    *workers,
+		JobTimeout: *timeout,
+		Jobs:       *jobs,
+		Slots:      *slots,
 	})
 	if err != nil {
 		fatal("%v", err)

@@ -203,7 +203,6 @@ type runSpec struct {
 
 	check func() error // functional verification after the run
 
-	workers       int
 	sampling      SamplePlan
 	invariants    bool
 	maxCycles     uint64
@@ -253,12 +252,6 @@ func WithKernel(as *vm.AddressSpace, l *kernels.Launch) RunOption {
 // verification run after the kernel completes; its failure fails the run.
 func WithCheck(fn func() error) RunOption {
 	return func(s *runSpec) { s.check = fn }
-}
-
-// WithWorkers sets how many host goroutines tick cores (the -par knob).
-// Simulation output is byte-identical for any value.
-func WithWorkers(n int) RunOption {
-	return func(s *runSpec) { s.workers = n }
 }
 
 // WithSampling enables SMARTS-style interval sampling under the given plan:
@@ -395,7 +388,6 @@ func runSim(ctx context.Context, spec *runSpec) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpummu: configuring %s: %w", name, err)
 	}
-	g.Workers = spec.workers
 	g.Invariants = spec.invariants
 	g.MaxCycles = spec.maxCycles
 	g.WatchdogWindow = spec.watchdog

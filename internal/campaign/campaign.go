@@ -120,9 +120,6 @@ type Axis struct {
 type RunOptions struct {
 	// Workers is the -j worker pool size; 0 means GOMAXPROCS.
 	Workers int
-	// Par is -par: goroutines ticking cores inside one simulation.
-	// Default 1; output is byte-identical for any value.
-	Par int
 	// Checkpoint enables checkpointed warm starts: sweep points sharing a
 	// workload restore from one post-build snapshot instead of rebuilding
 	// (experiments.Executor.Checkpoint). Reports are byte-identical either
@@ -232,9 +229,6 @@ func (c *Campaign) applyDefaults() {
 	if c.Workloads.Seed == 0 {
 		c.Workloads.Seed = 1
 	}
-	if c.Run.Par == 0 {
-		c.Run.Par = 1
-	}
 }
 
 var nameRe = regexp.MustCompile(`^[a-z0-9]([a-z0-9-]*[a-z0-9])?$`)
@@ -287,9 +281,6 @@ func (c *Campaign) Validate() error {
 	// the figure pipeline insists on having something to render.
 	if c.Run.Workers < 0 {
 		return badField("run.workers", c.Run.Workers, "must be >= 0 (0 = all host cores)")
-	}
-	if c.Run.Par < 0 {
-		return badField("run.par", c.Run.Par, "must be >= 0 (0 and 1 tick cores serially)")
 	}
 	if err := c.Run.Sampling.Validate(); err != nil {
 		return badField("run.sampling", c.Run.Sampling.String(),

@@ -99,7 +99,7 @@ func TestValidationErrors(t *testing.T) {
 		{"bad normalize", valid + "sweep:\n  normalize: maybe\n", "sweep.normalize"},
 		{"bad workers", valid + "run:\n  workers: -1\n", "run.workers"},
 		{"workers not int", valid + "run:\n  workers: many\n", "run.workers"},
-		{"bad par", valid + "run:\n  par: -1\n", "run.par"},
+		{"bad par", valid + "run:\n  par: two\n", "run.par"},
 		{"sampling no detail", valid + "run:\n  sampling:\n    warmup: 100\n    fastforward: 1000\n", "run.sampling"},
 		{"sampling no fastforward", valid + "run:\n  sampling:\n    detail: 100\n", "run.sampling"},
 		{"sampling bad shorthand", valid + "run:\n  sampling: fast\n", "run.sampling"},
@@ -331,7 +331,7 @@ func TestSweepFigureEndToEnd(t *testing.T) {
 func TestHarnessOptions(t *testing.T) {
 	doc := "apiVersion: gpummu/v1\nname: opts\nfigures: [fig2]\n" +
 		"workloads:\n  names: [kmeans]\n  size: medium\n  seed: 9\n" +
-		"run:\n  workers: 5\n  par: 3\n  sampling:\n    warmup: 500\n    detail: 2000\n    fastforward: 20000\n" +
+		"run:\n  workers: 5\n  sampling:\n    warmup: 500\n    detail: 2000\n    fastforward: 20000\n" +
 		"obs:\n  sampleEvery: 1000\n  watchdog: 2000\n  maxCycles: 3000\n  deadline: 1h\n"
 	c, err := Parse([]byte(doc))
 	if err != nil {
@@ -341,7 +341,7 @@ func TestHarnessOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Size != workloads.SizeMedium || opt.Seed != 9 || opt.Workers != 5 || opt.CoreWorkers != 3 {
+	if opt.Size != workloads.SizeMedium || opt.Seed != 9 || opt.Workers != 5 {
 		t.Errorf("options mapped wrong: %+v", opt)
 	}
 	if len(opt.Workload) != 1 || opt.Workload[0] != "kmeans" {

@@ -191,7 +191,10 @@ func decodeAxes(l []node, out *Sweep) error {
 	return nil
 }
 
-// decodeRun fills {workers, par, checkpoint, sampling}.
+// decodeRun fills {workers, checkpoint, sampling}. It also accepts par, the
+// retired count of goroutines that ticked cores inside one simulation, so
+// that campaign files and stored job manifests written while it existed
+// still parse; par must be an integer and has no effect.
 func decodeRun(n node, out *RunOptions) error {
 	if n == nil {
 		return nil
@@ -206,7 +209,7 @@ func decodeRun(n node, out *RunOptions) error {
 	if out.Workers, err = optInt(m, "workers", "run."); err != nil {
 		return err
 	}
-	if out.Par, err = optInt(m, "par", "run."); err != nil {
+	if _, err = optInt(m, "par", "run."); err != nil {
 		return err
 	}
 	if out.Checkpoint, err = optBool(m, "checkpoint", "run."); err != nil {

@@ -90,7 +90,6 @@ func (c *Campaign) Emit() []byte {
 
 	w("run:\n")
 	w("  workers: %d\n", c.Run.Workers)
-	w("  par: %d\n", c.Run.Par)
 	w("  checkpoint: %v\n", c.Run.Checkpoint)
 	w("  sampling:\n")
 	w("    warmup: %d\n", c.Run.Sampling.Warmup)

@@ -24,14 +24,13 @@ func (c *Campaign) HarnessOptions() (experiments.Options, error) {
 		return experiments.Options{}, badField("workloads.size", c.Workloads.Size, err.Error())
 	}
 	opt := experiments.Options{
-		Size:        size,
-		Seed:        c.Workloads.Seed,
-		Machine:     c.MachineFunc(),
-		Workload:    append([]string(nil), c.Workloads.Names...),
-		Workers:     c.Run.Workers,
-		CoreWorkers: c.Run.Par,
-		Checkpoint:  c.Run.Checkpoint,
-		Sampling:    c.Run.Sampling,
+		Size:       size,
+		Seed:       c.Workloads.Seed,
+		Machine:    c.MachineFunc(),
+		Workload:   append([]string(nil), c.Workloads.Names...),
+		Workers:    c.Run.Workers,
+		Checkpoint: c.Run.Checkpoint,
+		Sampling:   c.Run.Sampling,
 		Obs: experiments.ObsOptions{
 			SampleEvery: c.Obs.SampleEvery,
 			SampleDir:   c.Obs.SampleDir,

@@ -203,37 +203,9 @@ func (m *MMU) Lookup(now engine.Cycle, reqs []PageReq) []PageResult {
 // LookupInto is Lookup writing into a caller-provided result buffer, which
 // is grown if too small and returned resliced to len(reqs). The LSU passes
 // its per-core scratch buffer so steady-state translation allocates nothing.
+// Requests are served in order, so a later request sees an earlier miss's
+// TLB fill, pending walk, and MSHR occupancy.
 func (m *MMU) LookupInto(now engine.Cycle, reqs []PageReq, dst []PageResult) []PageResult {
-	res, ls := m.LookupCompute(now, reqs, dst)
-	m.LookupCommit(now, reqs, res, ls)
-	return res
-}
-
-// LookupState records where a two-phase translation suspended: the index of
-// the first request LookupCompute did not finish, plus the TLB port cycle it
-// had already charged for that request. Resume == len(reqs) means the whole
-// lookup completed during the compute phase.
-type LookupState struct {
-	Resume   int
-	lookupAt engine.Cycle
-}
-
-// Done reports whether the lookup completed entirely in the compute phase.
-func (ls LookupState) Done(reqs []PageReq) bool { return ls.Resume >= len(reqs) }
-
-// LookupCompute runs the portion of a translation that touches only
-// core-private state (TLB probe/recency, TLB ports, per-core stat shard,
-// CPM) and therefore may execute concurrently with other cores' compute
-// phases. It processes requests in order until the first TLB miss: the miss
-// path walks the page table through the shared memory system and probes the
-// shared L2 TLB, so everything from that request onward is left for
-// LookupCommit. Suspending at the first miss (rather than recording
-// placeholder work) is required for exactness — a later request's MSHR
-// delay, merge, or even hit/LRU depth can depend on an earlier miss's fill.
-//
-// The decision "request i misses" is stable across the suspension: only this
-// core fills its own TLB, and it is suspended until its commit turn.
-func (m *MMU) LookupCompute(now engine.Cycle, reqs []PageReq, dst []PageResult) ([]PageResult, LookupState) {
 	var res []PageResult
 	if cap(dst) >= len(reqs) {
 		res = dst[:len(reqs)]
@@ -241,42 +213,22 @@ func (m *MMU) LookupCompute(now engine.Cycle, reqs []PageReq, dst []PageResult) 
 		res = make([]PageResult, len(reqs))
 	}
 	if !m.cfg.Enabled {
-		// The functional translator's memo cache is read-only here: serial
-		// runs are single-threaded, and parallel runs prewarm it at start.
 		for i, r := range reqs {
 			tr := m.tr.Lookup(r.VPN << m.tr.PageShift())
 			res[i] = PageResult{VPN: r.VPN, PBase: tr.PageBase(), ReadyAt: now, Hit: true}
 		}
-		return res, LookupState{Resume: len(reqs)}
+		return res
 	}
 	m.prune(now)
 	if m.cpm != nil {
 		m.cpm.MaybeFlush(now)
 	}
 	for i := range reqs {
-		lookupAt, hit := m.lookupHit(now, reqs[i], &res[i])
-		if !hit {
-			return res, LookupState{Resume: i, lookupAt: lookupAt}
-		}
-	}
-	return res, LookupState{Resume: len(reqs)}
-}
-
-// LookupCommit finishes a suspended translation during the core's serial
-// commit turn: it services the miss LookupCompute stopped at (reusing the
-// port cycle already charged) and then processes the remaining requests with
-// the full hit-or-miss path, exactly as the serial LookupInto would have.
-func (m *MMU) LookupCommit(now engine.Cycle, reqs []PageReq, res []PageResult, ls LookupState) {
-	if ls.Resume >= len(reqs) {
-		return
-	}
-	m.lookupMiss(ls.lookupAt, reqs[ls.Resume], &res[ls.Resume])
-	for i := ls.Resume + 1; i < len(reqs); i++ {
-		lookupAt, hit := m.lookupHit(now, reqs[i], &res[i])
-		if !hit {
+		if lookupAt, hit := m.lookupHit(now, reqs[i], &res[i]); !hit {
 			m.lookupMiss(lookupAt, reqs[i], &res[i])
 		}
 	}
+	return res
 }
 
 func reqWarp0(r PageReq) int {
@@ -287,8 +239,9 @@ func reqWarp0(r PageReq) int {
 }
 
 // lookupHit charges the TLB port and probes for r, filling *out on a hit.
-// It returns the port cycle so a miss can resume from it. The miss path
-// leaves the TLB untouched (Lookup mutates recency/history only on hits).
+// It returns the port cycle, from which a miss's service starts. The miss
+// path leaves the TLB untouched (Lookup mutates recency/history only on
+// hits).
 func (m *MMU) lookupHit(now engine.Cycle, r PageReq, out *PageResult) (engine.Cycle, bool) {
 	m.st.TLBAccesses.Inc()
 	lookupAt := m.ports.Acquire(now, 1)

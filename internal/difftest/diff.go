@@ -88,7 +88,6 @@ func (s *Sample) Diff(ctx context.Context) error {
 	_, err = gpummu.Run(ctx,
 		gpummu.WithConfig(s.HW),
 		gpummu.WithKernel(asSim, lSim),
-		gpummu.WithWorkers(s.Workers),
 		gpummu.WithInvariants(),
 		gpummu.WithMaxCycles(diffMaxCycles),
 		gpummu.WithWatchdog(diffWatchdog))
@@ -124,22 +123,13 @@ func (s *Sample) Diff(ctx context.Context) error {
 }
 
 // Minimise greedily shrinks a failing sample while the fails oracle keeps
-// returning true: host parallelism first (a failure surviving Workers=1
-// replays single-threaded), then launch geometry, then individual ops. It
-// iterates to a fixpoint (bounded) and returns the smallest failing clone;
-// the input sample is not modified.
+// returning true: launch geometry first, then individual ops. It iterates
+// to a fixpoint (bounded) and returns the smallest failing clone; the
+// input sample is not modified.
 func Minimise(s *Sample, fails func(*Sample) bool) *Sample {
 	cur := s.Clone()
 	for pass := 0; pass < 4; pass++ {
 		changed := false
-		if cur.Workers != 1 {
-			c := cur.Clone()
-			c.Workers = 1
-			if fails(c) {
-				cur = c
-				changed = true
-			}
-		}
 		for _, g := range []int{1, cur.Grid / 2} {
 			if g >= 1 && g < cur.Grid {
 				c := cur.Clone()

@@ -23,7 +23,7 @@ const (
 
 // TestDifferentialMatrix runs 240 seeded random samples through both the
 // timing simulator and the reference model (ISSUE 5 acceptance: 200+
-// samples across the scheduler/TLB/-par matrix). Chunked subtests run in
+// samples across the scheduler/TLB matrix). Chunked subtests run in
 // parallel to keep wall-clock down.
 func TestDifferentialMatrix(t *testing.T) {
 	perChunk := matrixSamples / matrixChunks
@@ -44,20 +44,17 @@ func TestDifferentialMatrix(t *testing.T) {
 
 // TestGeneratorCoversMatrix asserts the matrix seed range actually spans
 // the design space the acceptance criterion names: every scheduler family,
-// every divergence mode, both page sizes, serial and parallel ticking, and
-// every MMU class (disabled, blocking, non-blocking, shared-TLB, PWC,
-// ideal, software walks).
+// every divergence mode, both page sizes, and every MMU class (disabled,
+// blocking, non-blocking, shared-TLB, PWC, ideal, software walks).
 func TestGeneratorCoversMatrix(t *testing.T) {
 	scheds := map[config.SchedulerPolicy]int{}
 	tbcs := map[config.DivergenceMode]int{}
-	workers := map[int]int{}
 	shifts := map[uint]int{}
 	mmus := map[string]int{}
 	for seed := uint64(matrixSeedBase); seed < matrixSeedBase+matrixSamples; seed++ {
 		s := difftest.Generate(seed)
 		scheds[s.HW.Sched.Policy]++
 		tbcs[s.HW.TBC.Mode]++
-		workers[s.Workers]++
 		shifts[s.HW.PageShift]++
 		m := s.HW.MMU
 		switch {
@@ -86,11 +83,6 @@ func TestGeneratorCoversMatrix(t *testing.T) {
 	for _, m := range []config.DivergenceMode{config.DivStack, config.DivTBC, config.DivTLBTBC} {
 		if tbcs[m] == 0 {
 			t.Errorf("divergence mode %s never generated", m)
-		}
-	}
-	for _, w := range []int{1, 8} {
-		if workers[w] == 0 {
-			t.Errorf("workers=%d never generated", w)
 		}
 	}
 	for _, sh := range []uint{12, 21} {
@@ -153,11 +145,10 @@ func TestDropPreservesValidity(t *testing.T) {
 
 // TestMinimiseGreedy drives the minimiser with a synthetic oracle that
 // fails whenever one specific top-level op survives: the result must keep
-// exactly that op, shrink the launch to a single tiny block, and drop host
-// parallelism.
+// exactly that op and shrink the launch to a single tiny block.
 func TestMinimiseGreedy(t *testing.T) {
 	s := difftest.Generate(42)
-	s.Workers, s.Grid, s.BlockDim = 8, 4, 128
+	s.Grid, s.BlockDim = 4, 128
 	ids := s.AllOpIDs()
 	target := ids[0]
 	fails := func(c *difftest.Sample) bool { return c.Alive(target) }
@@ -165,9 +156,6 @@ func TestMinimiseGreedy(t *testing.T) {
 	min := difftest.Minimise(s, fails)
 	if !fails(min) {
 		t.Fatal("minimised sample no longer fails the oracle")
-	}
-	if min.Workers != 1 {
-		t.Errorf("Workers = %d, want 1", min.Workers)
 	}
 	if min.Grid != 1 {
 		t.Errorf("Grid = %d, want 1", min.Grid)
@@ -179,7 +167,7 @@ func TestMinimiseGreedy(t *testing.T) {
 		t.Errorf("alive ops = %v, want just [%d]", alive, target)
 	}
 	// The original sample must be untouched.
-	if len(s.AliveOpIDs()) != len(ids) || s.Workers != 8 {
+	if len(s.AliveOpIDs()) != len(ids) || s.Grid != 4 {
 		t.Error("Minimise mutated its input sample")
 	}
 	// The minimised sample must still emit and replay.

@@ -117,7 +117,6 @@ type valInit struct {
 type Sample struct {
 	Seed      uint64
 	HW        config.Hardware
-	Workers   int
 	Grid      int
 	BlockDim  int
 	DataWords int // power of two: elements in the read-only data region
@@ -366,9 +365,9 @@ func (s *Sample) emitALU(b *kernels.Builder, o *op) {
 // Describe returns a one-line summary of the sample's configuration for
 // soak-run progress output and failure reports.
 func (s *Sample) Describe() string {
-	return fmt.Sprintf("seed=%d sched=%s tbc=%s pshift=%d mmu=%s workers=%d launch=%dx%d data=%d ops=%d",
+	return fmt.Sprintf("seed=%d sched=%s tbc=%s pshift=%d mmu=%s launch=%dx%d data=%d ops=%d",
 		s.Seed, s.HW.Sched.Policy, s.HW.TBC.Mode, s.HW.PageShift,
-		mmuBrief(s.HW.MMU), s.Workers, s.Grid, s.BlockDim, s.DataWords,
+		mmuBrief(s.HW.MMU), s.Grid, s.BlockDim, s.DataWords,
 		len(s.AliveOpIDs()))
 }
 
@@ -398,7 +397,7 @@ func (s *Sample) ReproSnippet() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "func TestRepro%d(t *testing.T) {\n", s.Seed)
 	fmt.Fprintf(&b, "\ts := difftest.Generate(%d)\n", s.Seed)
-	fmt.Fprintf(&b, "\ts.Workers, s.Grid, s.BlockDim = %d, %d, %d\n", s.Workers, s.Grid, s.BlockDim)
+	fmt.Fprintf(&b, "\ts.Grid, s.BlockDim = %d, %d\n", s.Grid, s.BlockDim)
 	if len(s.dropped) > 0 {
 		ids := make([]int, 0, len(s.dropped))
 		for id := range s.dropped {

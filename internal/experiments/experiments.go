@@ -30,11 +30,6 @@ type Options struct {
 	Verbose  bool                   // log per-run progress to Progress
 	Progress io.Writer              // progress destination; default os.Stderr
 
-	// CoreWorkers sets how many goroutines tick cores inside each single
-	// simulation (gpu.GPU.Workers, the -par flag); <= 1 means serial.
-	// Reports are byte-identical for any value.
-	CoreWorkers int
-
 	// Obs attaches per-run observability (sampling, watchdog, cycle
 	// budget, deadline) to every simulation the harness executes. The
 	// zero value keeps runs unobserved.
@@ -103,16 +98,15 @@ func New(out io.Writer, opt Options) *Harness {
 		opt: opt,
 		out: out,
 		exec: &Executor{
-			Workers:     opt.Workers,
-			Size:        opt.Size,
-			Seed:        opt.Seed,
-			Progress:    opt.Progress,
-			Store:       store,
-			CoreWorkers: opt.CoreWorkers,
-			Obs:         opt.Obs,
-			Checkpoint:  opt.Checkpoint,
-			Sampling:    opt.Sampling,
-			Simulate:    opt.Simulate,
+			Workers:    opt.Workers,
+			Size:       opt.Size,
+			Seed:       opt.Seed,
+			Progress:   opt.Progress,
+			Store:      store,
+			Obs:        opt.Obs,
+			Checkpoint: opt.Checkpoint,
+			Sampling:   opt.Sampling,
+			Simulate:   opt.Simulate,
 		},
 	}
 }

@@ -201,11 +201,6 @@ type Executor struct {
 	Progress io.Writer      // per-run progress lines; nil for silent
 	Store    Results        // destination; a fresh ResultStore when nil
 
-	// CoreWorkers sets gpu.GPU.Workers for every simulation: how many
-	// goroutines tick cores inside one run (the -par flag). Simulation
-	// output is byte-identical for any value; <= 1 keeps runs serial.
-	CoreWorkers int
-
 	// Obs attaches samplers, watchdogs and cycle budgets to every run.
 	Obs ObsOptions
 
@@ -283,7 +278,7 @@ func (e *Executor) store() Results {
 // wrapper sees every simulation the executor ever starts.
 func (e *Executor) simulate(spec RunSpec) *RunResult {
 	run := func(s RunSpec) *RunResult {
-		return ExecuteSampled(s, e.Size, e.Seed, e.CoreWorkers, e.Obs, e.checkpointPool(), e.Sampling)
+		return ExecuteSampled(s, e.Size, e.Seed, e.Obs, e.checkpointPool(), e.Sampling)
 	}
 	if e.Simulate != nil {
 		return e.Simulate(spec, run)
@@ -352,18 +347,17 @@ func (e *Executor) logProgress(res *RunResult, total int) {
 // ExecuteOne runs a single spec to completion in the calling goroutine.
 // It builds a private workload and GPU so concurrent calls share no
 // simulator state; the result's statistics are final and never mutated
-// again (renderers receive clones). coreWorkers sets gpu.GPU.Workers for
-// the run (<= 1 means serial ticking; output is identical either way).
-func ExecuteOne(spec RunSpec, size workloads.Size, seed uint64, coreWorkers int) *RunResult {
-	return ExecuteObs(spec, size, seed, coreWorkers, ObsOptions{})
+// again (renderers receive clones).
+func ExecuteOne(spec RunSpec, size workloads.Size, seed uint64) *RunResult {
+	return ExecuteObs(spec, size, seed, ObsOptions{})
 }
 
 // ExecuteObs is ExecuteOne with per-run observability attached: a cycle
 // sampler (optionally persisted as CSV), a forward-progress watchdog, a
 // cycle budget, and a wall-clock deadline. With the zero ObsOptions it is
 // identical to ExecuteOne.
-func ExecuteObs(spec RunSpec, size workloads.Size, seed uint64, coreWorkers int, ob ObsOptions) *RunResult {
-	return ExecuteCk(spec, size, seed, coreWorkers, ob, nil)
+func ExecuteObs(spec RunSpec, size workloads.Size, seed uint64, ob ObsOptions) *RunResult {
+	return ExecuteCk(spec, size, seed, ob, nil)
 }
 
 // ExecuteCk is ExecuteObs with checkpointed warm starts: when pool is
@@ -371,8 +365,8 @@ func ExecuteObs(spec RunSpec, size workloads.Size, seed uint64, coreWorkers int,
 // post-build snapshot when an instance exists, built cold (and
 // checkpointed) otherwise — and returned to the pool once the run and its
 // functional check finish. A nil pool builds cold, exactly as before.
-func ExecuteCk(spec RunSpec, size workloads.Size, seed uint64, coreWorkers int, ob ObsOptions, pool *snapshot.Pool) *RunResult {
-	return ExecuteSampled(spec, size, seed, coreWorkers, ob, pool, gpu.SamplePlan{})
+func ExecuteCk(spec RunSpec, size workloads.Size, seed uint64, ob ObsOptions, pool *snapshot.Pool) *RunResult {
+	return ExecuteSampled(spec, size, seed, ob, pool, gpu.SamplePlan{})
 }
 
 // ExecuteSampled is ExecuteCk with optional SMARTS-style interval sampling:
@@ -382,7 +376,7 @@ func ExecuteCk(spec RunSpec, size workloads.Size, seed uint64, coreWorkers int, 
 // counters stay as measured-window totals, whose ratios are the sampled
 // estimators). Architectural state — and therefore the functional check —
 // is exact either way. A zero plan is exactly ExecuteCk.
-func ExecuteSampled(spec RunSpec, size workloads.Size, seed uint64, coreWorkers int, ob ObsOptions, pool *snapshot.Pool, plan gpu.SamplePlan) *RunResult {
+func ExecuteSampled(spec RunSpec, size workloads.Size, seed uint64, ob ObsOptions, pool *snapshot.Pool, plan gpu.SamplePlan) *RunResult {
 	res := &RunResult{Spec: spec}
 	start := time.Now()
 	defer func() { res.Wall = time.Since(start) }()
@@ -408,7 +402,6 @@ func ExecuteSampled(spec RunSpec, size workloads.Size, seed uint64, coreWorkers 
 		res.Err = err
 		return res
 	}
-	g.Workers = coreWorkers
 	if ob.enabled() {
 		g.MaxCycles = ob.MaxCycles
 		g.WatchdogWindow = ob.Watchdog

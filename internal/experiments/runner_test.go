@@ -87,37 +87,6 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestReportIdenticalAcrossCoreWorkers extends the determinism contract to
-// intra-simulation parallelism: a report produced with CoreWorkers=4 (four
-// goroutines ticking cores inside every run, the -par flag) must be
-// byte-identical to the serial one.
-func TestReportIdenticalAcrossCoreWorkers(t *testing.T) {
-	f, err := ByID("fig2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(par int) string {
-		var buf bytes.Buffer
-		h := New(&buf, Options{
-			Size:        workloads.SizeTiny,
-			Seed:        1,
-			Machine:     config.SmallTest,
-			Workload:    []string{"bfs", "kmeans"},
-			Workers:     2,
-			CoreWorkers: par,
-		})
-		if err := RunFigures(h, []Figure{f}); err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		return buf.String()
-	}
-	serial := render(1)
-	parallel := render(4)
-	if serial != parallel {
-		t.Fatalf("report differs between -par 1 and -par 4:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestExecutorParallelMatchesInline cross-checks the worker pool against
 // the inline path: the same spec executed by an 8-worker pool and by a
 // direct ExecuteOne must produce identical cycle counts.
@@ -141,7 +110,7 @@ func TestExecutorParallelMatchesInline(t *testing.T) {
 		if res.Wall <= 0 {
 			t.Errorf("%s: no wall time recorded", s)
 		}
-		inline := ExecuteOne(s, workloads.SizeTiny, 1, 1)
+		inline := ExecuteOne(s, workloads.SizeTiny, 1)
 		if inline.Err != nil {
 			t.Fatal(inline.Err)
 		}
@@ -164,7 +133,7 @@ func TestExecuteObsSamplesAndPersists(t *testing.T) {
 	h, _ := workerHarness(1, "bfs")
 	spec := h.Spec("bfs", h.cfgWith(config.AugmentedMMU()))
 	ob := ObsOptions{SampleEvery: 200, SampleDir: dir, Watchdog: 10_000_000, MaxCycles: 50_000_000}
-	res := ExecuteObs(spec, workloads.SizeTiny, 1, 1, ob)
+	res := ExecuteObs(spec, workloads.SizeTiny, 1, ob)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -191,7 +160,7 @@ func TestExecuteObsSamplesAndPersists(t *testing.T) {
 		t.Fatalf("CSV missing header:\n%.120s", body)
 	}
 
-	plain := ExecuteOne(spec, workloads.SizeTiny, 1, 1)
+	plain := ExecuteOne(spec, workloads.SizeTiny, 1)
 	if plain.Err != nil {
 		t.Fatal(plain.Err)
 	}

@@ -44,7 +44,7 @@ type SampledRun struct {
 // then under plan — and returns the comparison. Both runs build the
 // workload fresh with the same seed, so the exact run's end-of-run digests
 // are the oracle for the sampled run's architectural state.
-func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uint64, coreWorkers int, plan gpu.SamplePlan) (*SampledRun, error) {
+func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uint64, plan gpu.SamplePlan) (*SampledRun, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -62,7 +62,6 @@ func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uin
 	if err != nil {
 		return nil, err
 	}
-	g.Workers = coreWorkers
 	start := time.Now()
 	cycles, err := g.Run(wl.Launch)
 	if err != nil {
@@ -89,7 +88,6 @@ func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uin
 	if err != nil {
 		return nil, err
 	}
-	g2.Workers = coreWorkers
 	start = time.Now()
 	_, smp, err := g2.RunSampled(wl2.Launch, plan)
 	if err != nil {
@@ -130,7 +128,7 @@ func SampledReport(h *Harness, plan gpu.SamplePlan) (string, error) {
 		"exact_ipc", "est_ipc", "ipc_err%", "exact_miss", "est_miss", "miss_err%",
 		"detail_frac", "digests")
 	for _, w := range h.opt.Workload {
-		r, err := CompareSampled(w, h.opt.Size, cfg, h.opt.Seed, h.opt.CoreWorkers, plan)
+		r, err := CompareSampled(w, h.opt.Size, cfg, h.opt.Seed, plan)
 		if err != nil {
 			return "", err
 		}

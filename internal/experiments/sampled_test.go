@@ -37,7 +37,7 @@ func TestSampledAccuracyGate(t *testing.T) {
 	cfg.MMU = config.AugmentedMMU()
 
 	for _, w := range []string{"bfs", "memcached"} {
-		r, err := CompareSampled(w, workloads.SizeSmall, cfg, 1, 1, samplePlanSmall)
+		r, err := CompareSampled(w, workloads.SizeSmall, cfg, 1, samplePlanSmall)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,37 +60,26 @@ func TestSampledAccuracyGate(t *testing.T) {
 	}
 }
 
-// TestSampledReportGolden pins two properties of the sampled report: it is
-// byte-identical for any -par core-ticking worker count, and it matches the
-// committed golden (refresh with `go test ./internal/experiments -run
+// TestSampledReportGolden pins the sampled report against the committed
+// golden (refresh with `go test ./internal/experiments -run
 // SampledReportGolden -update`). The report excludes wall clock by design,
 // so its bytes are a pure function of the simulated runs.
 func TestSampledReportGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six small-size simulations")
+		t.Skip("runs two small-size simulations")
 	}
-	var want []byte
-	for _, par := range []int{1, 2, 8} {
-		var buf bytes.Buffer
-		h := New(&buf, Options{
-			Size:        workloads.SizeSmall,
-			Seed:        1,
-			Machine:     config.SmallTest,
-			Workload:    []string{"bfs"},
-			CoreWorkers: par,
-		})
-		body, err := SampledReport(h, samplePlanSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par == 1 {
-			want = []byte(body)
-			continue
-		}
-		if !bytes.Equal([]byte(body), want) {
-			t.Fatalf("par=%d report diverged from par=1:\n%s\nvs\n%s", par, body, want)
-		}
+	var buf bytes.Buffer
+	h := New(&buf, Options{
+		Size:     workloads.SizeSmall,
+		Seed:     1,
+		Machine:  config.SmallTest,
+		Workload: []string{"bfs"},
+	})
+	body, err := SampledReport(h, samplePlanSmall)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := []byte(body)
 
 	golden := filepath.Join("testdata", "sampled_report.golden")
 	if *update {

@@ -121,6 +121,7 @@ func TestExecMemSteadyStateAllocFree(t *testing.T) {
 		w.stack[0].pc = 4 // rewind to the load; execMem advances past it
 		w.state = WReady
 		c.execMem(now, w, in)
+		c.commitData()
 		now = w.readyAt + 8
 		// The slotted L1 port deletes as many window slots as it inserts
 		// once pruned, keeping its map in steady state.
@@ -147,6 +148,7 @@ func TestGatedSleepAllocFree(t *testing.T) {
 	gateAt := engine.Cycle(0)
 	for i := 0; i < 100 && len(c.gated) == 0; i++ {
 		_, next := c.tick(gateAt)
+		c.commitData()
 		if len(c.gated) == 0 {
 			gateAt = next
 		}
@@ -158,9 +160,9 @@ func TestGatedSleepAllocFree(t *testing.T) {
 	lanes := c.st.ActiveLanes.Count()
 	runOnce := func() {
 		c.wakeAt = 0 // force the gated tick to run again
-		c.phaseCompute(gateAt)
+		c.cycle(gateAt)
 		for k := engine.Cycle(1); k <= sleep; k++ {
-			c.phaseCompute(gateAt + k)
+			c.cycle(gateAt + k)
 			if c.tkKind != tkSkipped {
 				t.Fatalf("cycle %d: gated core ticked before its walk completed", gateAt+k)
 			}

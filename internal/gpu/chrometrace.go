@@ -15,10 +15,9 @@ import (
 // TLB miss rate, occupancy, per-L2-slice traffic) are appended at every
 // sampler boundary when a Sampler is attached.
 //
-// Events reach the tracer from the serial commit phase in canonical core
-// order, and obs.TraceWriter writes fixed-order fields, so the bytes
-// produced are identical for any -par worker count — the property
-// TestChromeTraceGoldenAcrossPar pins.
+// Events reach the tracer in core-id order within each step's tick pass,
+// and obs.TraceWriter writes fixed-order fields, so the bytes are a pure
+// function of the simulation — the property the trace golden tests pin.
 type ChromeTracer struct {
 	tw     *obs.TraceWriter
 	prev   obs.Sample

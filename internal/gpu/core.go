@@ -9,12 +9,12 @@ import (
 	"gpummu/internal/stats"
 )
 
-// Tick-outcome kinds recorded by phaseCompute for the post-commit
-// aggregation pass of GPU.Run.
+// Tick-outcome kinds recorded by cycle for the data pass and the
+// aggregation of GPU.Run's step.
 const (
 	tkBlockless = int8(iota) // no resident blocks; nothing to do
 	tkSkipped                // event fast-forward emulated the tick
-	tkTicked                 // a real tick ran; commit must follow
+	tkTicked                 // a real tick ran; its data pass must follow
 )
 
 // Core is one shader core: its warps, L1 data cache, MMU, scheduler state,
@@ -24,12 +24,12 @@ type Core struct {
 	g  *GPU
 
 	// st is this core's private statistics shard. Everything the core (and
-	// its MMU, scheduler, and TBC state machine) counts during a cycle's
-	// compute phase lands here and is folded into the run's global sink when
-	// the run finishes; mem.System and the shared TLB write the global sink
-	// directly, from commit phases only. The two sinks cover disjoint fields,
-	// and every stats type merges commutatively and exactly, so sharding
-	// never changes reported totals (see stats.Sim.Merge).
+	// its MMU, scheduler, and TBC state machine) counts lands here and is
+	// folded into the run's global sink when the run finishes; mem.System
+	// and the shared TLB write the global sink directly. The two sinks cover
+	// disjoint fields, and every stats type merges commutatively and
+	// exactly, so sharding never changes reported totals (see
+	// stats.Sim.Merge); the shards also give the per-core metrics.
 	st *stats.Sim
 
 	mmu     *core.MMU
@@ -39,11 +39,10 @@ type Core struct {
 	sched   *sched
 	cpm     *core.CPM
 
-	blocks      []*Block
-	rrPtr       int
-	lastIssued  *Warp
-	pendingIdle bool
-	nextIssue   engine.Cycle // issue stage free at this cycle
+	blocks     []*Block
+	rrPtr      int
+	lastIssued *Warp
+	nextIssue  engine.Cycle // issue stage free at this cycle
 
 	// wakeAt is the earliest cycle at which a real tick can do anything the
 	// last real tick could not: the issue stage freeing (after an issue) or
@@ -78,15 +77,11 @@ type Core struct {
 	// flag, so the common tick reuses the previous scan.
 	liveDirty bool
 
-	// Two-phase tick state (see DESIGN.md "Two-phase parallel core
-	// ticking"). The compute phase touches only core-private state and
-	// records everything that must reach shared structures; commit applies
-	// it in canonical core-id order.
-	pend       pendMem // suspended remainder of this cycle's memory instruction
-	pendRetire *Block  // block whose maybeRetire was deferred by execExit
-	evBuf      []Event // trace events buffered until this core's commit
+	// pend is the data-pass remainder of the memory instruction this step's
+	// tick issued (see DESIGN.md "Tick pass and data pass").
+	pend pendMem
 
-	// phaseCompute outcome, consumed by the commit + aggregation passes.
+	// cycle's outcome, consumed by the data pass and the aggregation.
 	tkKind   int8
 	tkIssued bool
 	tkEv     engine.Cycle
@@ -129,8 +124,6 @@ func (c *Core) reset() {
 	c.gated = c.gated[:0]
 	c.liveDirty = true
 	c.pend = pendMem{}
-	c.pendRetire = nil
-	c.evBuf = c.evBuf[:0]
 	c.l1.Flush()
 	c.mmu.Shootdown()
 	for i := range c.l1MSHRs {
@@ -188,8 +181,9 @@ func (c *Core) fillBlocks() {
 	}
 }
 
-// retireBlock removes a finished block and backfills from the grid.
-func (c *Core) retireBlock(b *Block) {
+// retireBlock removes a finished block at cycle now and backfills from the
+// grid.
+func (c *Core) retireBlock(b *Block, now engine.Cycle) {
 	for i, x := range c.blocks {
 		if x == b {
 			c.blocks = append(c.blocks[:i], c.blocks[i+1:]...)
@@ -199,27 +193,23 @@ func (c *Core) retireBlock(b *Block) {
 	c.liveDirty = true
 	c.g.liveBlocks--
 	c.g.retired++
-	// Retire-span bookkeeping for sampled runs: commit is serial, so this
-	// needs no synchronisation and orders identically for any Workers count.
+	// Retire-span bookkeeping for sampled runs.
 	n := c.g.retired - c.g.retireBase
 	if n == 1 {
-		c.g.retireFirstAt = c.g.commitCycle
+		c.g.retireFirstAt = now
 	}
 	if cap := c.g.retireCap; cap > 0 && n > cap && (n-1)%cap == 0 {
 		// Retire number j·cap+1: a wave-phase-aligned turnover boundary.
 		if c.g.retireSteadyAt == 0 {
-			c.g.retireSteadyAt = c.g.commitCycle
+			c.g.retireSteadyAt = now
 		} else {
-			c.g.retireWaveAt = c.g.commitCycle
+			c.g.retireWaveAt = now
 			c.g.retireWaves++
 		}
 	}
-	c.g.retireLastAt = c.g.commitCycle
-	// Retirement always happens inside a commit phase, so commitCycle is the
-	// current clock; earlier this event carried no timestamp at all, which
-	// put every blockend at ts 0 in rendered traces.
-	c.emit(Event{Cycle: c.g.commitCycle, Kind: EvBlockEnd, Core: int16(c.id),
-		Block: int32(b.id), Warp: -1, A: uint64(b.id), B: uint64(c.g.commitCycle)})
+	c.g.retireLastAt = now
+	c.g.emit(Event{Cycle: now, Kind: EvBlockEnd, Core: int16(c.id),
+		Block: int32(b.id), Warp: -1, A: uint64(b.id), B: uint64(now)})
 	c.fillBlocks()
 }
 
@@ -235,76 +225,10 @@ func (c *Core) liveWarps(dst []*Warp) []*Warp {
 	return dst
 }
 
-// emit buffers a trace event in the core's per-cycle event queue; the queue
-// drains to the tracer when the core commits, so parallel compute phases
-// reproduce the serial emission order exactly (all of core i's cycle-N
-// events precede core i+1's).
-func (c *Core) emit(e Event) {
-	if c.g.tracer != nil {
-		c.evBuf = append(c.evBuf, e)
-	}
-}
-
-// flushEvents drains the buffered trace events in emission order.
-func (c *Core) flushEvents() {
-	if len(c.evBuf) == 0 {
-		return
-	}
-	if t := c.g.tracer; t != nil {
-		for i := range c.evBuf {
-			t.Trace(c.evBuf[i])
-		}
-	}
-	c.evBuf = c.evBuf[:0]
-}
-
-// tick advances the core one cycle serially: the compute phase immediately
-// followed by the core's commit. The composition performs exactly the
-// operation sequence of the pre-split single-phase tick; parallel runs call
-// tickCompute and commit separately with a barrier in between.
-func (c *Core) tick(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
-	issuedAny, next = c.tickCompute(now)
-	c.commit(now)
-	return issuedAny, next
-}
-
-// commit applies the core's buffered shared-state work for this cycle
-// during its canonical serial turn: functional memory accesses, the
-// suspended remainder of a memory instruction, block retirement, and trace
-// flushing. Everything it touches is either shared (mem.System, shared TLB,
-// functional memory, block dispatch counters, the tracer) or owned by this
-// core; it never reads another core's private state.
-//
-// The composition runs the same per-subsystem batches GPU.Run's commit
-// phase applies across all cores (DESIGN.md §14); for a single core the
-// operation sequence is identical either way, which is what keeps the
-// serial tick() path and unit tests equivalent to the run loop.
-func (c *Core) commit(now engine.Cycle) {
-	c.g.commitCycle = now
-	c.commitFunc()
-	c.commitTranslate()
-	c.commitData()
-	c.commitRetire()
-	c.flushEvents()
-}
-
-// commitRetire runs the block retirement a compute-phase execExit deferred
-// — the dispatch-counter batch of the commit phase. Retirement backfills
-// fresh blocks from the grid, so it mutates the shared dispatch cursor
-// (nextBlock/liveBlocks) and must stay in canonical core order.
-func (c *Core) commitRetire() {
-	if b := c.pendRetire; b != nil {
-		c.pendRetire = nil
-		b.maybeRetire()
-	}
-}
-
-// phaseCompute runs one core's share of a simulation cycle up to the point
-// where shared state would be touched, recording the outcome for the commit
-// and aggregation passes. It reads and writes only core-private state plus
-// immutable shared state (launch, config, the prewarmed translator), so any
-// set of cores may run it concurrently.
-func (c *Core) phaseCompute(now engine.Cycle) {
+// cycle runs the core's turn in the tick pass of a global step at now: a
+// real tick, or its emulation while the core sleeps. It records the
+// outcome for the data pass and the aggregation.
+func (c *Core) cycle(now engine.Cycle) {
 	if len(c.blocks) == 0 {
 		// A blockless core can only regain blocks through its own
 		// retireBlock, so it has nothing to do until the launch ends.
@@ -345,17 +269,18 @@ func (c *Core) phaseCompute(now engine.Cycle) {
 		// All warps drained with blocks still live: TBC bookkeeping is
 		// pending, which only a real tick's maintain can run.
 	}
-	issued, ev := c.tickCompute(now)
+	issued, ev := c.tick(now)
 	c.tkKind = tkTicked
 	c.tkIssued = issued
 	c.tkEv = ev
 }
 
-// tickCompute is the core-private half of a tick: issue up to IssueWidth
-// ready warps in scheduler order, recording (not applying) any work that
-// must reach shared structures. It reports whether anything issued and the
-// next cycle at which this core has work to do.
-func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
+// tick issues up to IssueWidth ready warps in scheduler order. Everything
+// an issued instruction does runs here except a memory instruction's L1
+// misses, which it leaves in pend for the data pass (commitData). It
+// reports whether anything issued and the next cycle at which this core
+// has work to do.
+func (c *Core) tick(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
 	c.gated = c.gated[:0]
 	if len(c.blocks) == 0 {
 		return false, noEvent
@@ -464,7 +389,7 @@ func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
 			c.gated = append(c.gated, a)
 			return false, true
 		}
-		c.execMemCompute(now, w, in)
+		c.execMem(now, w, in)
 		c.st.Instructions.Inc()
 		return true, false
 	}
@@ -488,7 +413,7 @@ type issueAttempt struct {
 func (c *Core) attempt(now engine.Cycle, a issueAttempt) {
 	c.st.ActiveLanes.Observe(int(a.lanes))
 	if c.g.tracer != nil {
-		c.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
+		c.g.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
 			Block: a.block, Warp: a.warp, A: uint64(a.pc), B: uint64(a.lanes)})
 	}
 }

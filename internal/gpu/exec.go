@@ -223,7 +223,7 @@ func (c *Core) execBarrier(now engine.Cycle, w *Warp) {
 	b := w.block
 	w.state = WBarrier
 	b.barrierCount++
-	c.emit(Event{Cycle: now, Kind: EvBarrier, Core: int16(c.id), Block: int32(b.id),
+	c.g.emit(Event{Cycle: now, Kind: EvBarrier, Core: int16(c.id), Block: int32(b.id),
 		Warp: int16(w.slot), A: uint64(w.curPC()), B: uint64(b.barrierCount)})
 	if b.barrierCount < b.liveWarpCount() {
 		return
@@ -262,7 +262,5 @@ func (c *Core) execExit(now engine.Cycle, w *Warp) {
 	} else {
 		w.reconverge()
 	}
-	// Retirement touches the GPU-wide dispatch state (liveBlocks, nextBlock)
-	// and so waits for the core's commit turn.
-	c.pendRetire = b
+	b.maybeRetire(now)
 }

@@ -59,14 +59,6 @@ type GPU struct {
 	// diagnostic — a guard against malformed kernels that never finish.
 	MaxCycles uint64
 
-	// Workers sets how many host goroutines tick cores inside a single run
-	// (the -par flag). Values <= 1 keep the run on one goroutine. Any value
-	// produces byte-identical simulation output: the per-cycle compute
-	// phase is core-private, and all shared-state work commits serially in
-	// core-id order (see DESIGN.md "Two-phase parallel core ticking"). This
-	// is a host-side knob, deliberately not part of config.Hardware.
-	Workers int
-
 	// Observability hooks (DESIGN.md §11). All are optional; their zero
 	// values cost the hot path nothing beyond a nil/zero check, keeping the
 	// warm path allocation-free when observability is off.
@@ -77,8 +69,8 @@ type GPU struct {
 	Sampler *obs.Sampler
 	// Metrics, when non-nil, receives the hierarchically labelled breakdowns
 	// (per-core, per-walker, per-L2-slice) at the end of every Run. Values
-	// come from the same per-core shards the global sink merges, so they are
-	// exact for any Workers count.
+	// come from the same per-core shards the global sink merges, so they
+	// sum exactly to the report.
 	Metrics *obs.Registry
 	// WatchdogWindow aborts a run with obs.ErrLivelock when no thread block
 	// retires for this many cycles (0 disables). Block retirement — not
@@ -101,9 +93,6 @@ type GPU struct {
 	// retired counts thread blocks retired since construction — the
 	// watchdog's monotonic forward-progress signal.
 	retired uint64
-	// commitCycle is the clock value of the in-flight commit phase; block
-	// retirement reads it so EvBlockEnd events carry real timestamps.
-	commitCycle engine.Cycle
 
 	// Retire-span instrumentation for sampled runs (RunSampled). Blocks
 	// co-scheduled onto the cores retire in bursts (whole waves finish
@@ -115,8 +104,6 @@ type GPU struct {
 	// of the latest retire j·cap+1 after it, and retireWaves counts those
 	// turnovers; (retireWaveAt-retireSteadyAt)/(retireWaves·cap) is the
 	// marginal cycles-per-block with ramp-up and first-wave burst cancelled.
-	// Updated in the serial commit phase, so all of it is deterministic for
-	// any Workers count.
 	retireFirstAt  engine.Cycle
 	retireSteadyAt engine.Cycle
 	retireWaveAt   engine.Cycle
@@ -192,8 +179,7 @@ func (g *GPU) Translator() *vm.Translator { return g.tr }
 // mergeShards folds every core's statistics shard into the run's global
 // sink and clears the shards (so repeated Runs never double-count). Every
 // stats type merges commutatively and exactly, so the totals are
-// byte-identical to what a single shared sink would have accumulated under
-// serial ticking.
+// byte-identical to what a single shared sink would have accumulated.
 func (g *GPU) mergeShards() {
 	for i, c := range g.cores {
 		if g.Metrics != nil {
@@ -211,7 +197,6 @@ func (g *GPU) mergeShards() {
 // Run can execute the whole launch in one runLoop call while RunSampled
 // alternates bounded runLoop segments with functional fast-forward windows.
 type runState struct {
-	pool *corePool
 	now  engine.Cycle
 	done bool // all blocks dispatched and drained
 
@@ -234,9 +219,9 @@ func (g *GPU) advanceCursor() {
 	}
 }
 
-// beginRun validates the launch, resets and fills the cores, and starts the
-// parallel tick pool. Every successful beginRun must be paired with a
-// deferred endRun.
+// beginRun validates the launch and resets and fills the cores. Every
+// successful beginRun must be paired with a deferred mergeShards, so the
+// per-core statistics reach the global sink even on aborted runs.
 func (g *GPU) beginRun(l *kernels.Launch) (*runState, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -258,19 +243,6 @@ func (g *GPU) beginRun(l *kernels.Launch) (*runState, error) {
 	}
 
 	rs := &runState{}
-	if w := g.Workers; w > 1 {
-		if w > len(g.cores) {
-			w = len(g.cores)
-		}
-		if w > 1 {
-			// The functional translator memoises walks in a shared map that
-			// parallel compute phases read; walking the whole page table now
-			// makes that cache read-only for the rest of the run.
-			g.tr.Prewarm()
-			rs.pool = newCorePool(g, w)
-		}
-	}
-
 	if g.Sampler != nil {
 		g.Sampler.Reset()
 	}
@@ -282,32 +254,22 @@ func (g *GPU) beginRun(l *kernels.Launch) (*runState, error) {
 	return rs, nil
 }
 
-// endRun releases the tick pool and folds the per-core statistics shards
-// into the global sink. Deferred by Run and RunSampled so shards merge even
-// on aborted runs, exactly as the pre-refactor defers did.
-func (g *GPU) endRun(rs *runState) {
-	if rs.pool != nil {
-		rs.pool.stop()
-	}
-	g.mergeShards()
-}
-
 // Run executes one kernel launch to completion and returns the total cycle
 // count. It errs on invalid launches and on deadlock (which indicates a
 // malformed kernel, e.g. a barrier inside divergent control flow).
 //
-// Each cycle runs in two phases: a compute phase in which every core with
-// work does everything that touches only its private state (parallel across
-// Workers goroutines when Workers > 1), and a serial commit phase applying
-// each core's buffered shared-state work in ascending core-id order — the
-// same order the shared structures observed under single-phase ticking, so
-// simulation output is byte-identical for any Workers value.
+// Each global step makes two passes over the cores in id order: a tick
+// pass, in which every core with work ticks (or emulates a tick while it
+// sleeps), and a data pass, in which every core that issued a memory
+// instruction sends its L1 misses to the memory system. So every core's
+// walk references of a step reach the L2 and DRAM before any core's data
+// references (DESIGN.md "Tick pass and data pass").
 func (g *GPU) Run(l *kernels.Launch) (uint64, error) {
 	rs, err := g.beginRun(l)
 	if err != nil {
 		return 0, err
 	}
-	defer g.endRun(rs)
+	defer g.mergeShards()
 	if err := g.runLoop(rs, noEvent); err != nil {
 		return uint64(rs.now), err
 	}
@@ -317,11 +279,9 @@ func (g *GPU) Run(l *kernels.Launch) (uint64, error) {
 // runLoop advances the detailed timing model until the launch drains or the
 // clock reaches `until` (noEvent means run to completion). It is resumable:
 // RunSampled calls it with successive bounds, fast-forwarding between calls.
-// The stopping cycle is a pure function of simulation state, so segmented
-// execution stays byte-identical for any Workers count.
+// The stopping cycle is a pure function of simulation state.
 func (g *GPU) runLoop(rs *runState, until engine.Cycle) error {
 	l := g.launch
-	pool := rs.pool
 	watchRetired := rs.watchRetired
 	progressAt := rs.progressAt
 	nextProgress := rs.nextProgress
@@ -339,83 +299,49 @@ func (g *GPU) runLoop(rs *runState, until engine.Cycle) error {
 		if g.MaxCycles != 0 && uint64(now) > g.MaxCycles {
 			return g.abort(obs.ErrMaxCycles, now, fmt.Sprintf("MaxCycles=%d", g.MaxCycles))
 		}
-		// Compute phase: core-private work only.
-		if pool != nil {
-			pool.cycle(now)
-		} else {
-			for _, c := range g.cores {
-				c.phaseCompute(now)
-			}
-		}
-		// Commit phase: buffered shared-state work replayed in grouped
-		// batches per subsystem — functional memory, translation (shared
-		// TLB + walkers), the data path (icnt/L2/DRAM), block retirement,
-		// trace flush — each batch in ascending core-id order. Grouping
-		// keeps one subsystem's working set hot across all cores instead of
-		// cycling every subsystem per core; the commit order is a pure
-		// function of core ids, so output stays byte-identical for any
-		// Workers count (ordering argument in DESIGN.md §14).
-		g.commitCycle = now
+		// Tick pass. A core's tick runs everything its issued instruction
+		// does — functional memory, translation with its walks, the L1,
+		// block retirement, trace events — except the L1 misses.
 		for _, c := range g.cores {
-			if c.tkKind == tkTicked {
-				c.commitFunc()
-			}
+			c.cycle(now)
 		}
-		for _, c := range g.cores {
-			if c.tkKind == tkTicked {
-				c.commitTranslate()
-			}
-		}
+		// Data pass: the step's L1 misses, after every core's walks.
 		for _, c := range g.cores {
 			if c.tkKind == tkTicked {
 				c.commitData()
 			}
 		}
-		for _, c := range g.cores {
-			if c.tkKind == tkTicked {
-				c.commitRetire()
-			}
-		}
-		if g.tracer != nil {
-			// Skipped cores replay gated issue events too, so flush every
-			// core with a non-empty buffer, not only the ticked ones.
-			for _, c := range g.cores {
-				c.flushEvents()
-			}
-		}
-		// Sampling happens after commits: every core's cycle-now state is
-		// settled, and nothing below mutates simulation state, so the row is
-		// identical for any Workers count.
+		// Nothing below mutates simulation state, so a sample row taken
+		// here sees the settled state of the step.
 		if g.Sampler != nil && uint64(now) >= g.Sampler.NextAt() {
 			g.sample(now)
 		}
-		// Aggregation: commits can retire blocks, so liveness and the next
-		// event fold after them.
+		// Aggregation: ticks can retire blocks, so liveness and the next
+		// event fold after the passes. live counts the cores holding
+		// blocks and idle those of them that issued nothing; both are
+		// charged the cycles up to the next step.
 		next := noEvent
-		anyLive := false
+		live, idle := uint64(0), uint64(0)
 		for _, c := range g.cores {
 			switch c.tkKind {
 			case tkBlockless:
-				c.pendingIdle = false
+				continue
 			case tkSkipped:
-				anyLive = true
-				c.pendingIdle = true
-				if c.tkEv < next {
-					next = c.tkEv
-				}
+				live++
+				idle++
 			default: // tkTicked; the tick may have retired the core's last block.
 				if len(c.blocks) > 0 {
-					anyLive = true
-					c.pendingIdle = !c.tkIssued
-				} else {
-					c.pendingIdle = false
-				}
-				if c.tkEv < next {
-					next = c.tkEv
+					live++
+					if !c.tkIssued {
+						idle++
+					}
 				}
 			}
+			if c.tkEv < next {
+				next = c.tkEv
+			}
 		}
-		if !anyLive && g.nextBlock >= l.Grid && g.liveBlocks == 0 {
+		if live == 0 && g.nextBlock >= l.Grid && g.liveBlocks == 0 {
 			break
 		}
 		if next == noEvent {
@@ -433,14 +359,8 @@ func (g *GPU) runLoop(rs *runState, until engine.Cycle) error {
 			next = now + 1
 		}
 		delta := uint64(next - now)
-		for _, c := range g.cores {
-			if len(c.blocks) > 0 {
-				g.st.CoreCycles += delta
-				if c.pendingIdle {
-					g.st.IdleCycles.Add(delta)
-				}
-			}
-		}
+		g.st.CoreCycles += live * delta
+		g.st.IdleCycles.Add(idle * delta)
 		if next>>14 != now>>14 {
 			// Every ~16k cycles, drop contention bookkeeping for the past.
 			g.sys.Prune(next)
@@ -457,8 +377,8 @@ func (g *GPU) runLoop(rs *runState, until engine.Cycle) error {
 					return g.abort(err, now, "context cancelled")
 				}
 			}
-			// The invariant checker shares the cadence too: commits have
-			// settled, so it sees a consistent cycle-now snapshot.
+			// The invariant checker shares the cadence too: both passes have
+			// run, so it sees a consistent cycle-now snapshot.
 			if g.Invariants {
 				if err := g.checkInvariants(now); err != nil {
 					return g.abort(obs.ErrInvariant, now, err.Error())

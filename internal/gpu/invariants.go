@@ -10,10 +10,10 @@ import (
 // This file is the machine half of the debug-build invariant checker
 // (DESIGN.md §12). When GPU.Invariants is set, Run audits the whole device on
 // the prune cadence (~16k cycles) and once more at kernel completion; a
-// violation aborts the run with obs.ErrInvariant. The checks run in the
-// serial section after commits, so they see settled cycle-now state and are
-// identical for any Workers count. They may allocate — correctness tooling is
-// exempt from the zero-alloc budget, which only binds when the checker is off.
+// violation aborts the run with obs.ErrInvariant. The checks run after both
+// passes of a step, so they see settled cycle-now state. They may allocate —
+// correctness tooling is exempt from the zero-alloc budget, which only binds
+// when the checker is off.
 
 // checkInvariants audits every core (SIMT state + MMU), the shared TLB, and
 // the sliced L2 at cycle now.

@@ -14,7 +14,7 @@ import (
 // runInvariants builds a workload fresh and runs it with the invariant
 // checker on — the "clean machine passes its own audit" half of the
 // checker's contract.
-func runInvariants(t *testing.T, name string, cfg config.Hardware, workers int) {
+func runInvariants(t *testing.T, name string, cfg config.Hardware) {
 	t.Helper()
 	w, err := workloads.Build(name, workloads.SizeTiny, cfg.PageShift, 7)
 	if err != nil {
@@ -27,15 +27,14 @@ func runInvariants(t *testing.T, name string, cfg config.Hardware, workers int) 
 	}
 	g.MaxCycles = 100_000_000
 	g.Invariants = true
-	g.Workers = workers
 	if _, err := g.Run(w.Launch); err != nil {
 		t.Fatalf("%s with invariants: %v", name, err)
 	}
 }
 
 // TestInvariantsCleanAcrossModes drives the checker over the design space:
-// MMU variants, scheduler families, divergence modes, and serial vs parallel
-// ticking must all pass the audit.
+// MMU variants, scheduler families, and divergence modes must all pass the
+// audit.
 func TestInvariantsCleanAcrossModes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -57,14 +56,9 @@ func TestInvariantsCleanAcrossModes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.SmallTest()
 			tc.mutate(&cfg)
-			runInvariants(t, "bfs", cfg, 1)
+			runInvariants(t, "bfs", cfg)
 		})
 	}
-	t.Run("parallel", func(t *testing.T) {
-		cfg := config.SmallTest()
-		cfg.MMU = config.AugmentedMMU()
-		runInvariants(t, "bfs", cfg, 8)
-	})
 }
 
 // blockFixture builds a machine with one manually dispatched block so the

@@ -36,10 +36,10 @@ func (g *GPU) foldInstructions() uint64 {
 	return n
 }
 
-// sample records one time-series row at cycle now. It runs between the
-// commit and aggregation passes, reads simulation state strictly read-only
-// (MMU occupancy deliberately avoids the pruning accessors), and therefore
-// records identical rows for any Workers count.
+// sample records one time-series row at cycle now. It runs after the data
+// pass and before the aggregation, and reads simulation state strictly
+// read-only (MMU occupancy deliberately avoids the pruning accessors), so
+// sampling never changes simulation output.
 func (g *GPU) sample(now engine.Cycle) {
 	smp := obs.Sample{Cycle: uint64(now), LiveBlocks: g.liveBlocks}
 	g.foldSample(&smp, g.st)

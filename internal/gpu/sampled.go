@@ -12,9 +12,9 @@ import (
 )
 
 // This file implements SMARTS-style interval sampling: RunSampled
-// alternates detailed timing windows (the ordinary two-phase tick loop,
-// including -par) with fast-forward windows that execute not-yet-dispatched
-// thread blocks functionally through internal/ref's block interpreter.
+// alternates detailed timing windows (the ordinary run loop) with
+// fast-forward windows that execute not-yet-dispatched thread blocks
+// functionally through internal/ref's block interpreter.
 //
 // Fast-forward operates at thread-block granularity, which is what makes it
 // exact for architectural state: block dispatch is a clean functional
@@ -112,7 +112,7 @@ func ParseSamplePlan(s string) (SamplePlan, error) {
 // windowCounters is a snapshot of the counters the sampled metrics need,
 // folded across the global sink and every core shard (shards merge only at
 // run end, so mid-run totals need both). Reads happen between detailed
-// segments, when no compute phase is in flight, so the fold is exact.
+// segments, so the fold is exact.
 type windowCounters struct {
 	instructions  uint64
 	tlbAccesses   uint64
@@ -200,7 +200,7 @@ func (g *GPU) RunSampled(l *kernels.Launch, plan SamplePlan) (uint64, *stats.Sam
 	if err != nil {
 		return 0, nil, err
 	}
-	defer g.endRun(rs)
+	defer g.mergeShards()
 	g.ffSkip = make([]bool, l.Grid)
 	defer func() { g.ffSkip = nil }()
 

@@ -52,7 +52,7 @@ var samplePlanSmall = SamplePlan{Warmup: 1000, Detail: 4000, FastForward: 40000}
 
 // runSampledOnce builds the workload fresh and runs it under the plan,
 // returning the sampled stats, the end-of-run digests, and the sink.
-func runSampledOnce(t *testing.T, name string, size workloads.Size, plan SamplePlan, workers int) (*stats.Sampled, *stats.Sim, uint64, uint64) {
+func runSampledOnce(t *testing.T, name string, size workloads.Size, plan SamplePlan) (*stats.Sampled, *stats.Sim, uint64, uint64) {
 	t.Helper()
 	cfg := config.SmallTest()
 	cfg.MMU = config.AugmentedMMU()
@@ -65,7 +65,6 @@ func runSampledOnce(t *testing.T, name string, size workloads.Size, plan SampleP
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Workers = workers
 	g.MaxCycles = 200_000_000
 	_, smp, err := g.RunSampled(w.Launch, plan)
 	if err != nil {
@@ -114,7 +113,7 @@ func TestRunSampledExactArchitecturalState(t *testing.T) {
 		exactMem := ref.MemDigest(w.AS)
 		exactPT := ref.PageTableDigest(w.AS.Mem, w.AS.PT.CR3())
 
-		smp, _, mem, pt := runSampledOnce(t, tc.name, tc.size, samplePlanSmall, 1)
+		smp, _, mem, pt := runSampledOnce(t, tc.name, tc.size, samplePlanSmall)
 		if mem != exactMem {
 			t.Errorf("%s/%s: sampled MemDigest %#x != exact %#x", tc.name, tc.size, mem, exactMem)
 		}
@@ -153,7 +152,7 @@ func TestRunSampledWarmTLBExactState(t *testing.T) {
 
 	warm := samplePlanSmall
 	warm.WarmTLB = true
-	smp, _, mem, _ := runSampledOnce(t, "bfs", workloads.SizeSmall, warm, 1)
+	smp, _, mem, _ := runSampledOnce(t, "bfs", workloads.SizeSmall, warm)
 	if mem != exactMem {
 		t.Errorf("warm sampled MemDigest %#x != exact %#x", mem, exactMem)
 	}
@@ -162,31 +161,21 @@ func TestRunSampledWarmTLBExactState(t *testing.T) {
 	}
 }
 
-// TestRunSampledDeterministicAcrossWorkers pins that the sampled result —
-// every interval, every estimate, and the end-of-run digests — is identical
-// for -par 1, 2, and 8. Fast-forward runs on the coordinator goroutine
-// between detailed segments whose boundaries are pure functions of sim
-// state, so host parallelism must not leak in.
-func TestRunSampledDeterministicAcrossWorkers(t *testing.T) {
-	var first *stats.Sampled
-	var firstMem, firstPT uint64
-	var firstSummary string
-	for _, workers := range []int{1, 2, 8} {
-		smp, _, mem, pt := runSampledOnce(t, "bfs", workloads.SizeSmall, samplePlanSmall, workers)
-		if first == nil {
-			first, firstMem, firstPT = smp, mem, pt
-			firstSummary = smp.Summary()
-			continue
-		}
-		if !reflect.DeepEqual(smp, first) {
-			t.Errorf("workers=%d: sampled stats differ from workers=1", workers)
-		}
-		if smp.Summary() != firstSummary {
-			t.Errorf("workers=%d: summary differs:\n%s\nvs\n%s", workers, smp.Summary(), firstSummary)
-		}
-		if mem != firstMem || pt != firstPT {
-			t.Errorf("workers=%d: digests differ", workers)
-		}
+// TestRunSampledDeterministic pins that the sampled result — every
+// interval, every estimate, and the end-of-run digests — is identical when
+// the same sampled run is repeated: detailed segment boundaries and
+// fast-forward choices are pure functions of simulation state.
+func TestRunSampledDeterministic(t *testing.T) {
+	first, _, firstMem, firstPT := runSampledOnce(t, "bfs", workloads.SizeSmall, samplePlanSmall)
+	smp, _, mem, pt := runSampledOnce(t, "bfs", workloads.SizeSmall, samplePlanSmall)
+	if !reflect.DeepEqual(smp, first) {
+		t.Error("repeated sampled run produced different sampled stats")
+	}
+	if smp.Summary() != first.Summary() {
+		t.Errorf("summary differs:\n%s\nvs\n%s", smp.Summary(), first.Summary())
+	}
+	if mem != firstMem || pt != firstPT {
+		t.Error("repeated sampled run produced different digests")
 	}
 }
 
@@ -212,7 +201,7 @@ func TestRunSampledEstimates(t *testing.T) {
 	}
 	exactInstrs := st.Instructions.Value()
 
-	smp, sst, _, _ := runSampledOnce(t, "bfs", workloads.SizeSmall, samplePlanSmall, 1)
+	smp, sst, _, _ := runSampledOnce(t, "bfs", workloads.SizeSmall, samplePlanSmall)
 	estInstr := smp.EstimatedInstructions()
 	if rel := estInstr.RelErr(float64(exactInstrs)); rel > 0.25 {
 		t.Errorf("estimated instructions %.0f vs exact %d: relative error %.1f%% > 25%%",

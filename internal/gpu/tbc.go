@@ -260,7 +260,7 @@ func (t *tbcState) compact(now engine.Cycle, threads []int32, pc int32) []*Warp 
 			}
 		}
 		b.core.st.CompactedWarps.Inc()
-		b.core.emit(Event{Cycle: now, Kind: EvCompact, Core: int16(b.core.id),
+		b.core.g.emit(Event{Cycle: now, Kind: EvCompact, Core: int16(b.core.id),
 			Block: int32(b.id), Warp: int16(w.slot), A: uint64(pc), B: uint64(countLanes(w.lanes))})
 	}
 	return warps

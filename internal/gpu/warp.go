@@ -202,9 +202,9 @@ func (b *Block) liveWarpCount() int {
 	return n
 }
 
-// maybeRetire retires the block once every thread exited.
-func (b *Block) maybeRetire() {
+// maybeRetire retires the block at cycle now once every thread exited.
+func (b *Block) maybeRetire(now engine.Cycle) {
 	if b.liveThreads == 0 && b.liveWarpCount() == 0 {
-		b.core.retireBlock(b)
+		b.core.retireBlock(b, now)
 	}
 }

@@ -34,9 +34,7 @@ type System struct {
 
 // SliceStat is one L2 slice's traffic breakdown. The counters are plain
 // field increments on the Access path (always on: the per-partition
-// breakdown cannot be reconstructed from the flat aggregate afterwards) and
-// are only written from serial commit phases, so they are exact for any
-// -par worker count.
+// breakdown cannot be reconstructed from the flat aggregate afterwards).
 type SliceStat struct {
 	Accesses uint64 `json:"accesses"`
 	Hits     uint64 `json:"hits"`

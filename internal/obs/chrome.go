@@ -11,7 +11,7 @@ import (
 // {"traceEvents":[...]}) streamingly, loadable in Perfetto and
 // chrome://tracing. Field order is fixed and no Go map is ever iterated, so
 // the bytes produced for a given call sequence are always identical — the
-// property the trace golden tests pin across -par worker counts.
+// property the trace golden tests rely on.
 //
 // Timestamps are simulated cycles written as the ts microsecond field
 // one-to-one (1 cycle renders as 1 µs), the convention cycle-accurate

@@ -41,7 +41,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Gauge("a")
 }
 
-// TestRegistryMergeExact pins the par-sharding contract: merging shard
+// TestRegistryMergeExact pins the sharding contract: merging shard
 // registries in any order reproduces exactly what one registry accumulating
 // everything would hold.
 func TestRegistryMergeExact(t *testing.T) {

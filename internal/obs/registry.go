@@ -94,9 +94,8 @@ func (m *Metric) Float() float64 { return m.F }
 // Registry is an insertion-ordered collection of named metrics. It replaces
 // ad-hoc struct-field plumbing for the hierarchically labelled breakdowns
 // (per-core, per-L2-slice, per-walker) that the flat stats.Sim aggregate
-// cannot express. It is not safe for concurrent use; the simulator touches
-// it only from serial phases, which is also what keeps exports
-// byte-identical for any -par worker count.
+// cannot express. It is not safe for concurrent use; the simulator fills it
+// once, at the end of a run.
 type Registry struct {
 	order []string
 	m     map[string]*Metric
@@ -147,10 +146,10 @@ func (r *Registry) Each(fn func(*Metric)) {
 
 // Merge folds another registry into r: counters and gauges sum name-wise,
 // and names unknown to r are appended in o's registration order. Summation
-// is commutative and exact (uint64 counter arithmetic), so merging the
-// registries parallel shards collected — in any order — reproduces exactly
-// what a single registry would have accumulated; this is the same contract
-// stats.Sim.Merge gives the -par equivalence suites.
+// is commutative and exact (uint64 counter arithmetic), so merging shard
+// registries — in any order — reproduces exactly what a single registry
+// would have accumulated; this is the same contract stats.Sim.Merge gives
+// the per-core statistics shards.
 func (r *Registry) Merge(o *Registry) {
 	for _, name := range o.order {
 		om := o.m[name]

@@ -43,9 +43,6 @@ type Options struct {
 	// Workers is the default -j worker pool for campaigns that leave
 	// run.workers unset; 0 defers to GOMAXPROCS.
 	Workers int
-	// CoreWorkers is the default -par for campaigns that leave run.par at
-	// its default; 0/1 tick cores serially. Output is identical either way.
-	CoreWorkers int
 	// JobTimeout bounds each job's wall clock when the campaign declares no
 	// obs.deadline of its own; an overrun fails the job with state
 	// "timeout". The budget is enforced even while the job is starved of
@@ -214,7 +211,6 @@ type SubmitRequest struct {
 
 	// Run options (both forms; the ad-hoc form's run block).
 	Workers    int    `json:"workers,omitempty"`
-	Par        int    `json:"par,omitempty"`
 	Checkpoint bool   `json:"checkpoint,omitempty"`
 	Sampling   string `json:"sampling,omitempty"` // warmup,detail,fastforward[,warm]
 }
@@ -238,7 +234,7 @@ func (r *SubmitRequest) campaign() (*campaign.Campaign, string, error) {
 	if len(r.Workloads) == 0 {
 		return nil, "", fmt.Errorf("nothing to run: give a campaign document or a workloads list")
 	}
-	run := campaign.RunOptions{Workers: r.Workers, Par: r.Par, Checkpoint: r.Checkpoint}
+	run := campaign.RunOptions{Workers: r.Workers, Checkpoint: r.Checkpoint}
 	if r.Sampling != "" {
 		p, err := gpu.ParseSamplePlan(r.Sampling)
 		if err != nil {
@@ -719,9 +715,6 @@ func (s *Server) execute(job *Job) (report []byte, cache *runCache, total int, e
 	if opt.Workers == 0 && s.opt.Workers > 0 {
 		opt.Workers = s.opt.Workers
 	}
-	if opt.CoreWorkers <= 1 && s.opt.CoreWorkers > 1 {
-		opt.CoreWorkers = s.opt.CoreWorkers
-	}
 	if opt.Obs.Deadline.IsZero() && s.opt.JobTimeout > 0 {
 		opt.Obs.Deadline = s.clock.Now().Add(s.opt.JobTimeout)
 	}
@@ -777,15 +770,14 @@ func (s *Server) execute(job *Job) (report []byte, cache *runCache, total int, e
 		return nil, cache, 0, err
 	}
 	exec := &experiments.Executor{
-		Workers:     opt.Workers,
-		Size:        opt.Size,
-		Seed:        opt.Seed,
-		Store:       cache,
-		CoreWorkers: opt.CoreWorkers,
-		Obs:         opt.Obs,
-		Checkpoint:  opt.Checkpoint,
-		Sampling:    opt.Sampling,
-		Simulate:    opt.Simulate,
+		Workers:    opt.Workers,
+		Size:       opt.Size,
+		Seed:       opt.Seed,
+		Store:      cache,
+		Obs:        opt.Obs,
+		Checkpoint: opt.Checkpoint,
+		Sampling:   opt.Sampling,
+		Simulate:   opt.Simulate,
 	}
 	plan := experiments.NewPlan()
 	for _, w := range opt.Workload {
@@ -835,6 +827,12 @@ func (s *Server) scheduled(ctx context.Context, cache *runCache) func(experiment
 		}
 		key := Key(spec.Workload, cache.size, cache.seed, spec.Config, cache.plan)
 		res, coalesced, err := s.sched.do(ctx, key, func() *experiments.RunResult {
+			// A flight for this spec may have persisted its envelope and
+			// closed between the store check above and this flight
+			// opening; check again so the spec never simulates twice.
+			if res, ok := cache.Get(spec); ok {
+				return res
+			}
 			if err := s.sched.acquire(ctx); err != nil {
 				return abortedResult(spec, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ import (
 func runEnvelope(t *testing.T, workload string, cfg config.Hardware) *Result {
 	t.Helper()
 	spec := experiments.RunSpec{Workload: workload, Config: cfg}
-	res := experiments.ExecuteOne(spec, workloads.SizeTiny, 1, 0)
+	res := experiments.ExecuteOne(spec, workloads.SizeTiny, 1)
 	if res.Err != nil {
 		t.Fatalf("%s: %v", workload, res.Err)
 	}
@@ -260,6 +261,76 @@ func TestServerResumesInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestServerResumesJobStoredWithPar: a job journalled by a server that
+// still emitted run.par must resume and complete. The document is what
+// such a server stored for an ad-hoc pointerchase run with par 2.
+func TestServerResumesJobStoredWithPar(t *testing.T) {
+	const doc = `apiVersion: gpummu/v1
+name: resume-test
+description: ""
+machine:
+  preset: small
+  set: {}
+workloads:
+  names: [pointerchase]
+  size: tiny
+  seed: 1
+figures: []
+sweep:
+  normalize: false
+  axes: []
+run:
+  workers: 0
+  par: 2
+  checkpoint: false
+  sampling:
+    warmup: 0
+    detail: 0
+    fastforward: 0
+    warmtlb: false
+obs:
+  sampleEvery: 0
+  sampleDir: ""
+  watchdog: 0
+  maxCycles: 0
+  deadline: 0s
+output:
+  report: ""
+`
+	dir := t.TempDir()
+	man, err := OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := man.NewJob("run", "resume-test", doc); err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+
+	srv, err := NewServer(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		j, ok := srv.Manifest().Job("j1")
+		if ok && j.State == StateDone {
+			if j.Total != 1 || j.Simulated != 1 {
+				t.Fatalf("resumed job counters = total %d simulated %d, want 1/1", j.Total, j.Simulated)
+			}
+			return
+		}
+		if ok && (j.State == StateFailed || j.State == StateTimeout) {
+			t.Fatalf("resumed job finished %s: %s", j.State, j.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %+v", j)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestServerCampaignByteIdentity: a campaign job's report must be
 // byte-identical to the same campaign run directly through the harness,
 // both when simulated fresh and when served entirely from the store.
@@ -298,7 +369,13 @@ figures: [fig2]
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
-	for round, wantSim := range map[string]bool{"fresh": true, "stored": false} {
+	// The rounds run in this order: the second must be served from the
+	// store the first filled.
+	for _, rnd := range []struct {
+		round   string
+		wantSim bool
+	}{{"fresh", true}, {"stored", false}} {
+		round, wantSim := rnd.round, rnd.wantSim
 		job, err := c.SubmitCampaign([]byte(doc))
 		if err != nil {
 			t.Fatal(err)
@@ -340,16 +417,27 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
-	cases := []SubmitRequest{
-		{},                                       // nothing to run
-		{Workloads: []string{"no-such"}},         // unknown workload
-		{Workloads: []string{"bfs"}, Size: "xl"}, // bad size
-		{Campaign: "apiVersion: gpummu/v1\nname: x\n", Workloads: []string{"bfs"}}, // both forms
-		{Workloads: []string{"bfs"}, Sampling: "nonsense"},                         // bad plan
+	cases := []struct {
+		body any
+		want string // substring of the error, when one is pinned
+	}{
+		{SubmitRequest{}, ""},                                                                         // nothing to run
+		{SubmitRequest{Workloads: []string{"no-such"}}, ""},                                           // unknown workload
+		{SubmitRequest{Workloads: []string{"bfs"}, Size: "xl"}, ""},                                   // bad size
+		{SubmitRequest{Campaign: "apiVersion: gpummu/v1\nname: x\n", Workloads: []string{"bfs"}}, ""}, // both forms
+		{SubmitRequest{Workloads: []string{"bfs"}, Sampling: "nonsense"}, ""},                         // bad plan
+		// par, the retired core-ticking worker count, is no longer a field.
+		{json.RawMessage(`{"workloads":["pointerchase"],"size":"tiny","machine":"small","par":2}`), `unknown field "par"`},
 	}
-	for i, req := range cases {
-		if _, err := c.Submit(req); err == nil {
-			t.Errorf("case %d accepted: %+v", i, req)
+	for i, tc := range cases {
+		err := c.do(http.MethodPost, "/v1/jobs", tc.body, nil)
+		if err == nil {
+			body, _ := json.Marshal(tc.body)
+			t.Errorf("case %d accepted: %s", i, body)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %q does not mention %q", i, err, tc.want)
 		}
 	}
 	if _, err := c.Job("j999"); err == nil {

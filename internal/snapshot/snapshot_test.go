@@ -42,7 +42,7 @@ type runOutput struct {
 	trace  []byte
 }
 
-func runWorkload(t *testing.T, cfg config.Hardware, w *workloads.Workload, par int) runOutput {
+func runWorkload(t *testing.T, cfg config.Hardware, w *workloads.Workload) runOutput {
 	t.Helper()
 	st := &stats.Sim{}
 	g, err := gpu.New(cfg, w.AS, st)
@@ -50,20 +50,19 @@ func runWorkload(t *testing.T, cfg config.Hardware, w *workloads.Workload, par i
 		t.Fatal(err)
 	}
 	g.MaxCycles = 50_000_000
-	g.Workers = par
 	var traceBuf bytes.Buffer
 	ct := gpu.NewChromeTracer(&traceBuf, cfg.NumCores)
 	g.SetTracer(ct)
 	cycles, err := g.Run(w.Launch)
 	if err != nil {
-		t.Fatalf("par=%d: %v", par, err)
+		t.Fatal(err)
 	}
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Check != nil {
 		if err := w.Check(); err != nil {
-			t.Fatalf("par=%d: functional check: %v", par, err)
+			t.Fatalf("functional check: %v", err)
 		}
 	}
 	js, err := json.MarshalIndent(st, "", "  ")
@@ -75,43 +74,41 @@ func runWorkload(t *testing.T, cfg config.Hardware, w *workloads.Workload, par i
 
 // TestRestoreRunByteIdentical is the round-trip contract: a run restored
 // from a post-build checkpoint must be byte-identical to a cold run —
-// stats JSON, final memory image, cycle count, and the full Chrome trace —
-// for any -par worker count. The tiny bfs run lasts tens of thousands of
+// stats JSON, final memory image, cycle count, and the full Chrome trace.
+// The tiny bfs run lasts tens of thousands of
 // cycles, well past the run loop's periodic prune cadence, so the restore
 // also proves contention bookkeeping starts from a clean slate.
 func TestRestoreRunByteIdentical(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.AugmentedMMU()
 
-	for _, par := range []int{1, 2, 8} {
-		cold, err := workloads.Build("bfs", workloads.SizeTiny, cfg.PageShift, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runWorkload(t, cfg, cold, par)
+	cold, err := workloads.Build("bfs", workloads.SizeTiny, cfg.PageShift, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runWorkload(t, cfg, cold)
 
-		warm, err := workloads.Build("bfs", workloads.SizeTiny, cfg.PageShift, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := Capture(warm.AS)
-		// Dirty the instance with a full run, then rewind and rerun.
-		runWorkload(t, cfg, warm, par)
-		img.Restore(warm.AS)
-		got := runWorkload(t, cfg, warm, par)
+	warm, err := workloads.Build("bfs", workloads.SizeTiny, cfg.PageShift, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := Capture(warm.AS)
+	// Dirty the instance with a full run, then rewind and rerun.
+	runWorkload(t, cfg, warm)
+	img.Restore(warm.AS)
+	got := runWorkload(t, cfg, warm)
 
-		if got.cycles != want.cycles {
-			t.Fatalf("par=%d: restored run simulated %d cycles, cold %d", par, got.cycles, want.cycles)
-		}
-		if !bytes.Equal(got.stats, want.stats) {
-			t.Fatalf("par=%d: restored run stats diverged from cold:\ngot:\n%s\nwant:\n%s", par, got.stats, want.stats)
-		}
-		if got.mem != want.mem {
-			t.Fatalf("par=%d: restored run memory image diverged: %x vs %x", par, got.mem, want.mem)
-		}
-		if !bytes.Equal(got.trace, want.trace) {
-			t.Fatalf("par=%d: restored run Chrome trace diverged from cold (%d vs %d bytes)", par, len(got.trace), len(want.trace))
-		}
+	if got.cycles != want.cycles {
+		t.Fatalf("restored run simulated %d cycles, cold %d", got.cycles, want.cycles)
+	}
+	if !bytes.Equal(got.stats, want.stats) {
+		t.Fatalf("restored run stats diverged from cold:\ngot:\n%s\nwant:\n%s", got.stats, want.stats)
+	}
+	if got.mem != want.mem {
+		t.Fatalf("restored run memory image diverged: %x vs %x", got.mem, want.mem)
+	}
+	if !bytes.Equal(got.trace, want.trace) {
+		t.Fatalf("restored run Chrome trace diverged from cold (%d vs %d bytes)", len(got.trace), len(want.trace))
 	}
 }
 

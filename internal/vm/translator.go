@@ -26,7 +26,7 @@ func (t *Translator) PageShift() uint { return t.shift }
 func (t *Translator) VPN(va uint64) uint64 { return va >> t.shift }
 
 // MemoSize reports how many page translations are currently memoised
-// (tests observe walk caching and Prewarm coverage through it).
+// (tests observe walk caching through it).
 func (t *Translator) MemoSize() int { return len(t.cache) }
 
 // Lookup returns the cached translation for the page containing va,
@@ -51,35 +51,4 @@ func (t *Translator) Lookup(va uint64) Translation {
 func (t *Translator) Translate(va uint64) uint64 {
 	tr := t.Lookup(va)
 	return tr.PageBase() | (va & ((1 << t.shift) - 1))
-}
-
-// Prewarm eagerly memoises the translation of every page mapped in the page
-// table by enumerating the radix tree from CR3. Afterwards the cache map is
-// never written again (the paper's workloads take no page faults or remaps
-// mid-kernel), so concurrent readers — the parallel compute phase of a
-// multi-worker simulation run — can call Lookup/Translate without
-// synchronisation.
-func (t *Translator) Prewarm() {
-	t.prewarmTable(t.pt.CR3(), 0, levelPML4)
-}
-
-// prewarmTable walks one table page at walk level l; vaBase carries the
-// virtual-address bits contributed by the indices of the levels above.
-func (t *Translator) prewarmTable(tableBase, vaBase uint64, l int) {
-	shift := uint(39 - 9*l)
-	for i := uint64(0); i < entriesPerPT; i++ {
-		e := t.pt.mem.Read64(tableBase + i*pteSize)
-		if e&pteFlagPresent == 0 {
-			continue
-		}
-		va := vaBase | i<<shift
-		if (l == levelPD && e&pteFlagPS != 0) || l == levelPT {
-			if va&(1<<47) != 0 {
-				va |= 0xFFFF_0000_0000_0000 // canonical sign extension
-			}
-			t.Lookup(va)
-			continue
-		}
-		t.prewarmTable(e&pteAddrMask, va, l+1)
-	}
 }

@@ -46,30 +46,6 @@ func TestLookupMemoisesWalks(t *testing.T) {
 	}
 }
 
-// TestPrewarmFreezesMemo: Prewarm must memoise exactly the mapped pages, so
-// the cache map is never written again during a run (the property that lets
-// parallel compute phases read it unsynchronised).
-func TestPrewarmFreezesMemo(t *testing.T) {
-	for _, shift := range []uint{vm.PageShift4K, vm.PageShift2M} {
-		const pages = 6
-		as := newSpace(t, shift, pages)
-		tr := vm.NewTranslator(as.PT, shift)
-		tr.Prewarm()
-		if tr.MemoSize() != pages {
-			t.Fatalf("shift %d: Prewarm memoised %d pages, want %d", shift, tr.MemoSize(), pages)
-		}
-		// Touching every mapped byte range must not grow the memo.
-		base := as.HeapBase()
-		for p := uint64(0); p < pages; p++ {
-			tr.Lookup(base + p<<shift)
-			tr.Lookup(base + p<<shift + (1<<shift - 1))
-		}
-		if tr.MemoSize() != pages {
-			t.Fatalf("shift %d: lookups after Prewarm grew memo to %d", shift, tr.MemoSize())
-		}
-	}
-}
-
 // TestWalkMatchesReferenceMixed: a page table holding both 4 KB and 2 MB
 // mappings (disjoint VA ranges — the allocator never mixes them within one
 // space, so build the table directly) must agree with the independent

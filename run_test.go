@@ -27,7 +27,6 @@ func TestRunWithObservability(t *testing.T) {
 		WithConfig(cfg),
 		WithWorkload("bfs", SizeTiny),
 		WithSeed(7),
-		WithWorkers(2),
 		WithMaxCycles(50_000_000),
 		WithWatchdog(10_000_000),
 		WithSampler(smp),

@@ -11,11 +11,6 @@
 # Sections (each appends one entry per invocation):
 #   BENCH_hotpath.json     tiny figure matrix wall time + simulated
 #                          cycles/second (BenchmarkFig*, BenchmarkSimulatorThroughput)
-#   BENCH_parcore.json     same simulation ticked by -par 1 vs 8 goroutines
-#                          (BenchmarkParCoreWorkers)
-#   BENCH_scaling.json     full -par scaling curve (1,2,4,8) from
-#                          `gpusim -benchscaling`; points beyond GOMAXPROCS
-#                          are flagged oversubscribed
 #   BENCH_checkpoint.json  checkpoint warm-start vs cold rebuild over an
 #                          8-config sweep sharing one workload, from
 #                          `gpusim -benchcheckpoint` (the >=1.3x gate reads
@@ -116,51 +111,9 @@ END {
 append_json "$out_json" "$entry"
 tail -n 8 "$out_json" >&2
 
-par_json="BENCH_parcore.json"
-echo "bench: running par-core scaling (BenchmarkParCoreWorkers)" >&2
-go test -run '^$' -bench 'BenchmarkParCoreWorkers' \
-	-benchtime 1x -timeout 60m . | tee "$raw" >&2
-
-par_entry="$(awk -v label="$label" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	-v cpus="$cpus" -v gmp="$gomaxprocs" -v sha="$git_sha" '
-/^BenchmarkParCoreWorkers\/par1/ {
-	for (i = 1; i <= NF; i++) {
-		if ($i == "ns/op") p1_ns = $(i-1)
-		if ($i == "sim_cycles") cycles = $(i-1)
-	}
-}
-/^BenchmarkParCoreWorkers\/par8/ {
-	for (i = 1; i <= NF; i++) if ($i == "ns/op") p8_ns = $(i-1)
-}
-END {
-	speedup = (p8_ns > 0) ? p1_ns / p8_ns : 0
-	printf "  {\n"
-	printf "    \"label\": \"%s\",\n", label
-	printf "    \"date\": \"%s\",\n", date
-	printf "    \"host_cpus\": %d,\n", cpus
-	printf "    \"gomaxprocs\": %d,\n", gmp
-	printf "    \"git_sha\": \"%s\",\n", sha
-	printf "    \"par1_seconds\": %.3f,\n", p1_ns / 1e9
-	printf "    \"par8_seconds\": %.3f,\n", p8_ns / 1e9
-	printf "    \"par8_speedup\": %.2f,\n", speedup
-	printf "    \"sim_cycles\": %.0f\n", cycles
-	printf "  }"
-}' "$raw")"
-append_json "$par_json" "$par_entry"
-tail -n 10 "$par_json" >&2
-
 # The gpusim bench modes stamp host_cpus/gomaxprocs themselves from the Go
 # runtime; bench.sh only hands them the commit SHA via -benchlabel.
 go build -o "$gpusim_bin" ./cmd/gpusim
-
-# -allowoversub: interactive -benchscaling skips points beyond GOMAXPROCS
-# by default (they only measure barrier overhead), but the recorded
-# trajectory keeps the full flagged curve so entries stay comparable
-# across hosts.
-echo "bench: running -par scaling curve (gpusim -benchscaling)" >&2
-"$gpusim_bin" -workload mummergpu -size tiny -cores 4 \
-	-benchscaling -benchpars 1,2,4,8 -allowoversub -benchlabel "$git_sha" >"$raw"
-append_json "BENCH_scaling.json" "$(cat "$raw")"
 
 # mummergpu/tiny on a 4-core machine has the highest build-time fraction
 # (suffix-tree construction dominates), so the checkpoint delta is a

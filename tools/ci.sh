@@ -26,15 +26,13 @@ go test "${pkgs[@]}"
 echo "== go test -race ${pkgs[*]}"
 go test -race "${pkgs[@]}"
 
-# Parallel-tick equivalence under the race detector, run explicitly even
-# when a package subset was requested: TestParallelTickEquivalence replays
-# every golden configuration at -par 1, 2, and 8 and requires byte-identical
-# stats and memory images, and TestReportIdenticalAcrossCoreWorkers does the
-# same for a rendered figure report. -race is what proves the compute phase
-# shares nothing it shouldn't (DESIGN.md section 10.3).
-echo "== go test -race par equivalence (par=1,2,8)"
-go test -race -run 'TestParallelTickEquivalence' ./internal/gpu
-go test -race -run 'TestReportIdenticalAcrossCoreWorkers' ./internal/experiments
+# The benchmark harness is its own module (bench/go.mod), so the steps
+# above never build it. It calls the simulator's internal APIs directly;
+# vetting and short-testing it here catches a change to one of those APIs
+# before a benchmark run does.
+echo "== go -C bench vet ./... && go -C bench test -short ./..."
+go -C bench vet ./...
+go -C bench test -short ./...
 
 # Observability gates. First: a traced+sampled tiny run must emit
 # schema-valid Chrome trace JSON (tools/tracecheck checks every event) and
@@ -59,7 +57,7 @@ go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree' ./internal/vm
 
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
 # must validate; the campaign-driven figure-2 report must be byte-identical
-# to the flag-driven invocation it replaces (for any -j/-par); and the
+# to the flag-driven invocation it replaces (for any -j); and the
 # committed sample request trace must replay end to end with its
 # functional check passing.
 echo "== campaign gates (validate examples; campaign == flags; trace replay)"
@@ -68,12 +66,8 @@ go build -o "$obs_tmp/gpusim" ./cmd/gpusim
 for f in examples/campaigns/*; do
 	"$obs_tmp/experiments" -campaign "$f" -validate >/dev/null
 done
-# -par must not exceed GOMAXPROCS (the CLIs fail fast on oversubscription),
-# so pick the widest in-budget value for the equivalence runs below.
-host_par="$(nproc 2>/dev/null || echo 1)"
-((host_par > 2)) && host_par=2
 "$obs_tmp/experiments" -fig 2 -size tiny -machine small >"$obs_tmp/fig2.flags.txt"
-"$obs_tmp/experiments" -campaign examples/campaigns/fig2-tiny.yaml -j 3 -par "$host_par" >"$obs_tmp/fig2.campaign.txt"
+"$obs_tmp/experiments" -campaign examples/campaigns/fig2-tiny.yaml -j 3 >"$obs_tmp/fig2.campaign.txt"
 if ! cmp -s "$obs_tmp/fig2.flags.txt" "$obs_tmp/fig2.campaign.txt"; then
 	echo "ci: FAIL campaign-driven fig2 report differs from the flag-driven report" >&2
 	exit 1
@@ -88,7 +82,7 @@ fi
 # must render a byte-identical report to the cold run above. This is the
 # end-to-end proof that snapshot restore leaves no trace in the output.
 echo "== checkpoint equivalence (fig2-tiny campaign, cold == -checkpoint)"
-"$obs_tmp/experiments" -campaign examples/campaigns/fig2-tiny.yaml -j 3 -par "$host_par" -checkpoint >"$obs_tmp/fig2.ckpt.txt"
+"$obs_tmp/experiments" -campaign examples/campaigns/fig2-tiny.yaml -j 3 -checkpoint >"$obs_tmp/fig2.ckpt.txt"
 if ! cmp -s "$obs_tmp/fig2.campaign.txt" "$obs_tmp/fig2.ckpt.txt"; then
 	echo "ci: FAIL checkpointed fig2 report differs from the cold report" >&2
 	exit 1
@@ -106,7 +100,7 @@ go build -o "$obs_tmp/gpusimd" ./cmd/gpusimd
 start_gpusimd() {
 	rm -f "$obs_tmp/addr"
 	"$obs_tmp/gpusimd" -addr 127.0.0.1:0 -addrfile "$obs_tmp/addr" \
-		-j 3 -par "$host_par" "$@" >/dev/null 2>&1 &
+		-j 3 "$@" >/dev/null 2>&1 &
 	svc_pid=$!
 	for _ in $(seq 1 100); do
 		[[ -s "$obs_tmp/addr" ]] && break
@@ -198,22 +192,22 @@ stop_gpusimd
 # Sampling gates (DESIGN.md section 15). TestSampledAccuracyGate: sampled
 # estimates of the sim_cycles-derived metrics (IPC, TLB miss rate) must
 # agree with the exact run within 2% and the end-of-run memory/page-table
-# digests must be identical. TestSampledReportGolden: the sampled report is
-# byte-identical for -par 1/2/8 and matches its committed golden. Then the
-# committed run.sampling campaign must render byte-identically for any
-# -j/-par — interval sampling must not leak host parallelism into reports.
+# digests must be identical. TestSampledReportGolden: the sampled report
+# matches its committed golden. Then the committed run.sampling campaign
+# must render byte-identically for any -j — interval sampling must not leak
+# host parallelism into reports.
 echo "== sampling gates (accuracy <= 2%, report golden, campaign determinism)"
 go test -run 'TestSampledAccuracyGate|TestSampledReportGolden' ./internal/experiments
-"$obs_tmp/experiments" -campaign examples/campaigns/sampled-sweep.yaml -j 1 -par 1 >"$obs_tmp/sampled.a.txt"
-"$obs_tmp/experiments" -campaign examples/campaigns/sampled-sweep.yaml -j 3 -par "$host_par" >"$obs_tmp/sampled.b.txt"
+"$obs_tmp/experiments" -campaign examples/campaigns/sampled-sweep.yaml -j 1 >"$obs_tmp/sampled.a.txt"
+"$obs_tmp/experiments" -campaign examples/campaigns/sampled-sweep.yaml -j 3 >"$obs_tmp/sampled.b.txt"
 if ! cmp -s "$obs_tmp/sampled.a.txt" "$obs_tmp/sampled.b.txt"; then
-	echo "ci: FAIL sampled campaign report differs across -j/-par" >&2
+	echo "ci: FAIL sampled campaign report differs across -j" >&2
 	exit 1
 fi
 
 # Snapshot round-trip under the race detector: restore-then-run must be
-# byte-identical to a cold run (stats, memory image, Chrome trace) for
-# -par 1/2/8, and the snapshot pool must be clean under concurrent Acquire.
+# byte-identical to a cold run (stats, memory image, Chrome trace), and the
+# snapshot pool must be clean under concurrent Acquire.
 echo "== go test -race snapshot round-trip"
 go test -race ./internal/snapshot
 
