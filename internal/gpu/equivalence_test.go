@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"gpummu/internal/config"
@@ -148,26 +149,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden stats s
 func TestGoldenStatsSnapshot(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := config.SmallTest()
-			tc.mutate(&cfg)
-			w, err := workloads.Build(tc.workload, workloads.SizeTiny, cfg.PageShift, 7)
-			if err != nil {
-				t.Fatal(err)
+			r := runStatsCase(tc)
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
-			st := &stats.Sim{}
-			g, err := New(cfg, w.AS, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.MaxCycles = 50_000_000
-			if _, err := g.Run(w.Launch); err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.MarshalIndent(st, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
+			got := append(r.stats, '\n')
 			path := filepath.Join("testdata", "golden_"+tc.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -186,6 +172,85 @@ func TestGoldenStatsSnapshot(t *testing.T) {
 				t.Fatalf("%s: stats snapshot diverged from golden file %s —\n"+
 					"an optimisation changed simulated timing.\ngot:\n%s\nwant:\n%s",
 					tc.name, path, got, want)
+			}
+		})
+	}
+}
+
+// tickResult is what one simulation of a statsCase leaves behind.
+type tickResult struct {
+	stats  []byte
+	print  uint64
+	cycles uint64
+	err    error
+}
+
+// runStatsCase simulates tc on a tiny workload (seed 7) and a GPU of its
+// own. It reports failure through the result, so it may run on any
+// goroutine.
+func runStatsCase(tc statsCase) tickResult {
+	cfg := config.SmallTest()
+	tc.mutate(&cfg)
+	w, err := workloads.Build(tc.workload, workloads.SizeTiny, cfg.PageShift, 7)
+	if err != nil {
+		return tickResult{err: err}
+	}
+	st := &stats.Sim{}
+	g, err := New(cfg, w.AS, st)
+	if err != nil {
+		return tickResult{err: err}
+	}
+	g.MaxCycles = 50_000_000
+	cycles, err := g.Run(w.Launch)
+	if err != nil {
+		return tickResult{err: err}
+	}
+	js, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		return tickResult{err: err}
+	}
+	return tickResult{stats: js, print: memFingerprint(w), cycles: cycles}
+}
+
+// TestParallelTickEquivalence runs every golden configuration on several
+// GPUs ticking at once, one goroutine each, as the across-simulation pool
+// (-j) does, and demands that each match a lone run of the same
+// configuration: the same simulated cycle count, byte-identical statistics
+// and an identical final memory image. TestGoldenStatsSnapshot pins the
+// lone run's statistics; this test pins its memory image against concurrent
+// runs, so any state two simulations share (a package-level cache, a pooled
+// buffer) shows up here, and as a race under -race.
+func TestParallelTickEquivalence(t *testing.T) {
+	const concurrent = 2
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runStatsCase(tc)
+			if base.err != nil {
+				t.Fatal(base.err)
+			}
+			got := make([]tickResult, concurrent)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = runStatsCase(tc)
+				}()
+			}
+			wg.Wait()
+			for i, r := range got {
+				if r.err != nil {
+					t.Fatalf("concurrent run %d: %v", i, r.err)
+				}
+				if r.cycles != base.cycles {
+					t.Fatalf("concurrent run %d simulated %d cycles, the lone run %d", i, r.cycles, base.cycles)
+				}
+				if !bytes.Equal(r.stats, base.stats) {
+					t.Fatalf("concurrent run %d stats diverged from the lone run:\ngot:\n%s\nwant:\n%s", i, r.stats, base.stats)
+				}
+				if r.print != base.print {
+					t.Fatalf("concurrent run %d final memory image diverged: %x vs %x", i, r.print, base.print)
+				}
 			}
 		})
 	}
