@@ -403,19 +403,6 @@ func BenchmarkExtensionPWC(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (warp
-// instructions per second) — the engineering metric for the simulator
-// itself rather than a paper figure.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := BaselineConfig()
-		cfg.MMU = AugmentedMMU()
-		rep := benchRun(b, "kmeans", cfg)
-		b.ReportMetric(float64(rep.Instructions.Value()), "warp_instrs")
-		b.ReportMetric(float64(rep.Cycles), "sim_cycles")
-	}
-}
-
 // BenchmarkExperimentHarness smoke-runs one harness figure end to end so
 // the figure plumbing itself is covered by `go test -bench`.
 func BenchmarkExperimentHarness(b *testing.B) {

@@ -59,7 +59,7 @@ func TestCoalesceMultiWarpAttribution(t *testing.T) {
 	}
 	set := func(lane int, tid int32, va uint64) {
 		w.lanes[lane] = tid
-		b.threads[tid].regs[in.A] = va
+		b.reg(in.A)[tid] = va
 	}
 	set(0, 0, data)
 	set(1, 33, data+8)
@@ -113,7 +113,7 @@ func TestExecMemSteadyStateAllocFree(t *testing.T) {
 		}
 		// All lanes in one page, a few distinct lines: the steady-state hit
 		// pattern of a regular workload.
-		b.threads[tid].regs[in.A] = data + uint64(i)*8
+		b.reg(in.A)[tid] = data + uint64(i)*8
 	}
 
 	now := engine.Cycle(0)
@@ -179,16 +179,30 @@ func TestGatedSleepAllocFree(t *testing.T) {
 
 // BenchmarkRunBlocking times one exact run of mummergpu/tiny on the small
 // test machine behind the blocking naive 3-port MMU — figure 2's strawman,
-// where most core-cycles are spent behind the memory gate. The workload is
-// rebuilt outside the timer for every iteration, so ns/op and allocs/op
-// cover GPU construction and Run only.
+// where most core-cycles are spent behind the memory gate.
 func BenchmarkRunBlocking(b *testing.B) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.NaiveMMU(3)
+	benchRun(b, "mummergpu", cfg)
+}
+
+// BenchmarkRunAugmented times one exact run of kmeans/tiny on the small
+// test machine behind the paper's augmented MMU, where host time goes to
+// warp issue, the ALU, the coalescer and the functional loads and stores.
+func BenchmarkRunAugmented(b *testing.B) {
+	cfg := config.SmallTest()
+	cfg.MMU = config.AugmentedMMU()
+	benchRun(b, "kmeans", cfg)
+}
+
+// benchRun times exact runs of workload/tiny on cfg. The workload is
+// rebuilt outside the timer for every iteration, so ns/op and allocs/op
+// cover GPU construction and Run only.
+func benchRun(b *testing.B, workload string, cfg config.Hardware) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w, err := workloads.Build("mummergpu", workloads.SizeTiny, cfg.PageShift, 7)
+		w, err := workloads.Build(workload, workloads.SizeTiny, cfg.PageShift, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,14 +7,14 @@ import (
 	"gpummu/internal/kernels"
 )
 
-// special reads a special register value for thread t of block b.
-func (c *Core) special(b *Block, t *Thread, s kernels.Special) uint64 {
+// special reads a special register value for thread tid of block b.
+func (c *Core) special(b *Block, tid int32, s kernels.Special) uint64 {
 	l := c.g.launch
 	switch {
 	case s == kernels.SpecGlobalTID:
-		return uint64(b.id)*uint64(l.BlockDim) + uint64(t.btid)
+		return uint64(b.id)*uint64(l.BlockDim) + uint64(tid)
 	case s == kernels.SpecBlockTID:
-		return uint64(t.btid)
+		return uint64(tid)
 	case s == kernels.SpecBlockID:
 		return uint64(b.id)
 	case s == kernels.SpecBlockDim:
@@ -22,21 +22,19 @@ func (c *Core) special(b *Block, t *Thread, s kernels.Special) uint64 {
 	case s == kernels.SpecGridDim:
 		return uint64(l.Grid)
 	case s == kernels.SpecLane:
-		return uint64(int(t.btid) % c.g.cfg.WarpWidth)
+		return uint64(int(tid) % c.g.cfg.WarpWidth)
 	case s == kernels.SpecWarp:
-		return uint64(int(t.btid) / c.g.cfg.WarpWidth)
+		return uint64(int(tid) / c.g.cfg.WarpWidth)
 	case s >= kernels.SpecParam0 && s < kernels.SpecParam0+kernels.NumParams:
 		return l.Params[s-kernels.SpecParam0]
 	}
 	panic(fmt.Sprintf("gpu: unknown special %d", s))
 }
 
-// aluEval computes one ALU op for thread t.
-func (c *Core) aluEval(b *Block, t *Thread, in *kernels.Instr) uint64 {
-	a := t.regs[in.A]
-	r := t.regs[in.B]
-	imm := uint64(in.Imm)
-	switch in.Op {
+// aluEval computes ALU op on operand values a and r and immediate imm.
+// OpSpecial reads no operands; execCtrlOrALU handles it.
+func aluEval(op kernels.ALUOp, a, r, imm uint64) uint64 {
+	switch op {
 	case kernels.OpMov:
 		return a
 	case kernels.OpMovImm:
@@ -98,10 +96,8 @@ func (c *Core) aluEval(b *Block, t *Thread, in *kernels.Instr) uint64 {
 			return 1
 		}
 		return 0
-	case kernels.OpSpecial:
-		return c.special(b, t, kernels.Special(in.Imm))
 	}
-	panic(fmt.Sprintf("gpu: unknown ALU op %d", in.Op))
+	panic(fmt.Sprintf("gpu: unknown ALU op %d", op))
 }
 
 // execCtrlOrALU executes one non-memory instruction for warp w at cycle now.
@@ -110,12 +106,23 @@ func (c *Core) execCtrlOrALU(now engine.Cycle, w *Warp, in *kernels.Instr) {
 	pc := w.curPC()
 	switch in.Kind {
 	case kernels.KindALU:
-		for _, tid := range w.curLanes() {
-			if tid == noLane {
-				continue
+		dst := b.reg(in.Dst)
+		if in.Op == kernels.OpSpecial {
+			s := kernels.Special(in.Imm)
+			for _, tid := range w.curLanes() {
+				if tid != noLane {
+					dst[tid] = c.special(b, tid, s)
+				}
 			}
-			t := &b.threads[tid]
-			t.regs[in.Dst] = c.aluEval(b, t, in)
+		} else {
+			// Each lane reads its operands before writing dst, so dst may
+			// alias a or r.
+			a, r, imm := b.reg(in.A), b.reg(in.B), uint64(in.Imm)
+			for _, tid := range w.curLanes() {
+				if tid != noLane {
+					dst[tid] = aluEval(in.Op, a[tid], r[tid], imm)
+				}
+			}
 		}
 		w.readyAt = now + 1
 		c.advance(now, w, pc+1)
@@ -147,9 +154,8 @@ func (c *Core) advance(now engine.Cycle, w *Warp, pc int32) {
 	}
 }
 
-// branchTaken evaluates the branch condition for thread t.
-func branchTaken(t *Thread, in *kernels.Instr) bool {
-	v := t.regs[in.A]
+// branchTaken evaluates the branch condition on register value v.
+func branchTaken(v uint64, in *kernels.Instr) bool {
 	if in.Cond == kernels.CondZ {
 		return v == 0
 	}
@@ -169,12 +175,13 @@ func (c *Core) execBranch(now engine.Cycle, w *Warp, in *kernels.Instr) {
 	}
 
 	lanes := w.curLanes()
+	cond := b.reg(in.A)
 	nT, nF := 0, 0
 	for _, tid := range lanes {
 		if tid == noLane {
 			continue
 		}
-		if branchTaken(&b.threads[tid], in) {
+		if branchTaken(cond[tid], in) {
 			nT++
 		} else {
 			nF++
@@ -198,7 +205,7 @@ func (c *Core) execBranch(now engine.Cycle, w *Warp, in *kernels.Instr) {
 			if tid == noLane {
 				continue
 			}
-			if branchTaken(&b.threads[tid], in) {
+			if branchTaken(cond[tid], in) {
 				taken[i] = tid
 			} else {
 				fall[i] = tid

@@ -192,9 +192,9 @@ func (c *Core) commitData() {
 // distinct pages — both in first-appearance order, as the hardware
 // coalescer's comparator tree produces them — attributes each page to the
 // original warps of its requesting threads (one entry per origWarp, via a
-// per-page bitset), and performs each lane's functional load or store in
-// lane order. Results land in c.scratch: lines, and reqs whose Warps alias
-// warpSets.
+// per-page bitset), and then performs each lane's functional load or store
+// in lane order. Results land in c.scratch: lines, and reqs whose Warps
+// alias warpSets.
 func (c *Core) coalesceMem(w *Warp, in *kernels.Instr, isStore bool) {
 	b := w.block
 	lineShift := c.g.sys.LineShift()
@@ -202,13 +202,14 @@ func (c *Core) coalesceMem(w *Warp, in *kernels.Instr, isStore bool) {
 	sc := &c.scratch
 	sc.lines = sc.lines[:0]
 	sc.reqs = sc.reqs[:0]
-	for _, tid := range w.curLanes() {
+	lanes := w.curLanes()
+	addr, imm := b.reg(in.A), uint64(in.Imm)
+	for _, tid := range lanes {
 		if tid == noLane {
 			continue
 		}
 		t := &b.threads[tid]
-		va := t.regs[in.A] + uint64(in.Imm)
-		c.funcAccess(t, va, in, isStore)
+		va := addr[tid] + imm
 
 		vpn := va >> pageShift
 		pi := -1
@@ -256,32 +257,30 @@ func (c *Core) coalesceMem(w *Warp, in *kernels.Instr, isStore bool) {
 	for i := range sc.reqs {
 		sc.reqs[i].Warps = sc.warpSets[i]
 	}
+	c.funcAccess(b, lanes, in, isStore)
 }
 
-// funcAccess performs the functional load/store for one lane.
-func (c *Core) funcAccess(t *Thread, va uint64, in *kernels.Instr, isStore bool) {
-	pa := c.g.tr.Translate(va)
-	m := c.g.as.Mem
+// funcAccess performs the functional load or store of each active lane, in
+// lane order, through the translator's frame cache. It runs after
+// coalescing has read every lane's address, and each lane reads its address
+// before its load writes the destination, so the destination may alias the
+// address register.
+func (c *Core) funcAccess(b *Block, lanes []int32, in *kernels.Instr, isStore bool) {
+	tr := c.g.tr
+	addr, imm, size := b.reg(in.A), uint64(in.Imm), int(in.Size)
 	if isStore {
-		v := t.regs[in.B]
-		switch in.Size {
-		case 1:
-			m.WriteU8(pa, byte(v))
-		case 4:
-			m.Write32(pa, uint32(v))
-		default:
-			m.Write64(pa, v)
+		v := b.reg(in.B)
+		for _, tid := range lanes {
+			if tid != noLane {
+				tr.Store(addr[tid]+imm, size, v[tid])
+			}
 		}
 		return
 	}
-	var v uint64
-	switch in.Size {
-	case 1:
-		v = uint64(m.ReadU8(pa))
-	case 4:
-		v = uint64(m.Read32(pa))
-	default:
-		v = m.Read64(pa)
+	dst := b.reg(in.Dst)
+	for _, tid := range lanes {
+		if tid != noLane {
+			dst[tid] = tr.Load(addr[tid]+imm, size)
+		}
 	}
-	t.regs[in.Dst] = v
 }

@@ -129,18 +129,15 @@ func (t *tbcState) processBranch(now engine.Cycle, e *tbcEntry) {
 	in := &b.core.g.launch.Program.Code[e.waitPC]
 	fallPC := e.waitPC + 1
 
+	cond := b.reg(in.A)
 	var takenT, fallT, all []int32
 	for _, w := range e.waiting {
 		for _, tid := range w.lanes {
-			if tid == noLane {
-				continue
-			}
-			th := &b.threads[tid]
-			if th.exited {
+			if tid == noLane || b.threads[tid].exited {
 				continue
 			}
 			all = append(all, tid)
-			if branchTaken(th, in) {
+			if branchTaken(cond[tid], in) {
 				takenT = append(takenT, tid)
 			} else {
 				fallT = append(fallT, tid)
@@ -207,7 +204,7 @@ func (t *tbcState) pushEntry(now engine.Cycle, threads []int32, pc, rpc int32) {
 }
 
 // compact forms dynamic warps from threads, lane-preserving: a thread can
-// only occupy its home lane (btid mod warp width), so each dynamic warp
+// only occupy its home lane (tid mod warp width), so each dynamic warp
 // takes at most one candidate per lane. TLB-agnostic compaction packs
 // densely (the priority-encoder result); TLB-aware compaction additionally
 // requires the candidate's original warp to have saturated Common Page

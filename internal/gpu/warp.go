@@ -134,6 +134,7 @@ type Block struct {
 	slotIdx int // residency slot on the core (warp slot base / warpsPerBlock)
 
 	threads     []Thread
+	regs        []uint64 // register-major: regs[r*BlockDim+tid]
 	warps       []*Warp
 	liveThreads int
 
@@ -141,12 +142,19 @@ type Block struct {
 	tbc          *tbcState
 }
 
-// Thread is one thread's architectural state.
+// Thread is one thread's bookkeeping; a thread's id within its block is
+// its index in Block.threads, and its registers live in Block.regs.
 type Thread struct {
-	regs     [kernels.NumRegs]uint64
 	exited   bool
-	btid     int32 // thread id within the block
-	origWarp int   // core-level slot of the thread's original warp
+	origWarp int // core-level slot of the thread's original warp
+}
+
+// reg returns the column of register r: one value per thread of the
+// block, indexed by thread id, so a converged warp's operand is
+// contiguous.
+func (b *Block) reg(r kernels.Reg) []uint64 {
+	n := len(b.threads)
+	return b.regs[int(r)*n : (int(r)+1)*n]
 }
 
 func newBlock(c *Core, id, slotIdx int) *Block {
@@ -158,13 +166,12 @@ func newBlock(c *Core, id, slotIdx int) *Block {
 		id:          id,
 		slotIdx:     slotIdx,
 		threads:     make([]Thread, l.BlockDim),
+		regs:        make([]uint64, kernels.NumRegs*l.BlockDim),
 		liveThreads: l.BlockDim,
 	}
 	slotBase := slotIdx * nWarps
 	for i := range b.threads {
-		t := &b.threads[i]
-		t.btid = int32(i)
-		t.origWarp = slotBase + i/width
+		b.threads[i].origWarp = slotBase + i/width
 	}
 	for wi := 0; wi < nWarps; wi++ {
 		lanes := make([]int32, width)

@@ -28,8 +28,9 @@ func TestWalkAllocFree(t *testing.T) {
 	}
 }
 
-// TestTranslatorHitAllocFree pins the memoised translation hit path used by
-// every functional load/store in the simulator.
+// TestTranslatorHitAllocFree pins the memoised translation hit path the
+// MMU replays walks from, and the frame-cache hit path of Load and Store
+// used by every functional load and store in the simulator.
 func TestTranslatorHitAllocFree(t *testing.T) {
 	mem := NewPhysMem()
 	alloc := NewFrameAllocator(1 << 20)
@@ -47,5 +48,13 @@ func TestTranslatorHitAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Translator hit allocates %.1f objects per lookup, want 0", avg)
+	}
+
+	tr.Store(va, 8, 1) // materialise the page and cache its frame
+	avg = testing.AllocsPerRun(200, func() {
+		tr.Store(va+16, 4, tr.Load(va, 8)+1)
+	})
+	if avg != 0 {
+		t.Fatalf("warm Load+Store allocates %.1f objects per pair, want 0", avg)
 	}
 }

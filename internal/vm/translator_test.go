@@ -126,3 +126,133 @@ func TestFaultLevelAgreement(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadStoreRoundTrip: the frame-cached Load and Store agree with the
+// AddressSpace's page-table path at every access size, on 4 KB and 2 MB
+// mappings, in both directions.
+func TestLoadStoreRoundTrip(t *testing.T) {
+	for _, shift := range []uint{vm.PageShift4K, vm.PageShift2M} {
+		as := newSpace(t, shift, 2)
+		tr := vm.NewTranslator(as.PT, shift)
+		base := as.HeapBase()
+		second := base + uint64(1)<<shift // the second page of the mapping
+		for _, va := range []uint64{base, base + 0x7F0, second + 0xFC0} {
+			tr.Store(va, 8, 0x1122334455667788)
+			if got := as.Read64(va); got != 0x1122334455667788 {
+				t.Fatalf("shift %d: Store(%#x, 8) then Read64 = %#x", shift, va, got)
+			}
+			tr.Store(va+8, 4, 0xAABBCCDD)
+			if got := as.Read32(va + 8); got != 0xAABBCCDD {
+				t.Fatalf("shift %d: Store(%#x, 4) then Read32 = %#x", shift, va+8, got)
+			}
+			tr.Store(va+13, 1, 0x1EE)
+			if got := as.ReadU8(va + 13); got != 0xEE {
+				t.Fatalf("shift %d: Store(%#x, 1) then ReadU8 = %#x", shift, va+13, got)
+			}
+
+			as.Write64(va+16, 0x0807060504030201)
+			if got := tr.Load(va+16, 8); got != 0x0807060504030201 {
+				t.Fatalf("shift %d: Write64 then Load(%#x, 8) = %#x", shift, va+16, got)
+			}
+			if got := tr.Load(va+20, 4); got != 0x08070605 {
+				t.Fatalf("shift %d: Load(%#x, 4) = %#x", shift, va+20, got)
+			}
+			if got := tr.Load(va+17, 1); got != 0x02 {
+				t.Fatalf("shift %d: Load(%#x, 1) = %#x", shift, va+17, got)
+			}
+		}
+	}
+}
+
+// TestLoadUnwrittenPage: a never-written page reads as zero without being
+// materialised, and is not cached as zero: a write through the page-table
+// path afterwards is visible to the next Load.
+func TestLoadUnwrittenPage(t *testing.T) {
+	as := newSpace(t, vm.PageShift4K, 2)
+	tr := vm.NewTranslator(as.PT, vm.PageShift4K)
+	va := as.HeapBase() + vm.PageSize4K
+	backed := as.Mem.BackedPages()
+	if got := tr.Load(va, 8); got != 0 {
+		t.Fatalf("unwritten page Load = %#x, want 0", got)
+	}
+	if got := as.Mem.BackedPages(); got != backed {
+		t.Fatalf("Load of an unwritten page materialised it: backed pages %d -> %d", backed, got)
+	}
+	as.Write64(va, 42)
+	if got := tr.Load(va, 8); got != 42 {
+		t.Fatalf("Load after Write64 = %d, want 42", got)
+	}
+}
+
+// TestFrameCacheConflict: two virtual frames 1024 frames apart share a
+// cache slot, and each keeps its own data as they evict each other.
+func TestFrameCacheConflict(t *testing.T) {
+	const slots = 1 << 10
+	as := newSpace(t, vm.PageShift4K, slots+1)
+	tr := vm.NewTranslator(as.PT, vm.PageShift4K)
+	a := as.HeapBase() + 8
+	b := a + slots*vm.PageSize4K
+	tr.Store(a, 8, 1)
+	tr.Store(b, 8, 2)
+	for i := 0; i < 3; i++ {
+		if got := tr.Load(a, 8); got != 1 {
+			t.Fatalf("round %d: Load(a) = %d, want 1", i, got)
+		}
+		if got := tr.Load(b, 8); got != 2 {
+			t.Fatalf("round %d: Load(b) = %d, want 2", i, got)
+		}
+	}
+	if as.Read64(a) != 1 || as.Read64(b) != 2 {
+		t.Fatalf("page-table path reads a=%d b=%d, want 1 and 2", as.Read64(a), as.Read64(b))
+	}
+}
+
+// TestStoreThroughCachedFrameMarksDirty: a store that hits the frame cache
+// still sets the page's dirty bit, so a snapshot restore rewinds it.
+func TestStoreThroughCachedFrameMarksDirty(t *testing.T) {
+	as := newSpace(t, vm.PageShift4K, 1)
+	tr := vm.NewTranslator(as.PT, vm.PageShift4K)
+	va := as.HeapBase() + 64
+	tr.Store(va, 8, 1) // materialises the page and caches its frame
+	img := as.Mem.SnapshotPages()
+	tr.Store(va, 8, 2) // a frame-cache hit
+	as.Mem.RestorePages(img)
+	if got := as.Read64(va); got != 1 {
+		t.Fatalf("after RestorePages Read64 = %d, want the snapshot's 1", got)
+	}
+	if got := tr.Load(va, 8); got != 1 {
+		t.Fatalf("after RestorePages Load = %d, want the snapshot's 1", got)
+	}
+}
+
+// TestLoadStoreBadAccessPanics: misaligned, oddly sized and unmapped
+// accesses panic on both the miss and the hit path.
+func TestLoadStoreBadAccessPanics(t *testing.T) {
+	as := newSpace(t, vm.PageShift4K, 1)
+	tr := vm.NewTranslator(as.PT, vm.PageShift4K)
+	base := as.HeapBase()
+	guard := base + vm.PageSize4K // the unmapped guard page after the mapping
+	tr.Store(base, 8, 7)          // warm the frame
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"misaligned Load 8", func() { tr.Load(base+4, 8) }},
+		{"misaligned Load 4", func() { tr.Load(base+2, 4) }},
+		{"misaligned Store 8", func() { tr.Store(base+1, 8, 0) }},
+		{"misaligned Store 4", func() { tr.Store(base+6, 4, 0) }},
+		{"size 2 Load", func() { tr.Load(base, 2) }},
+		{"unmapped Load", func() { tr.Load(guard, 8) }},
+		{"unmapped Store", func() { tr.Store(guard, 1, 0) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", c.name)
+				}
+			}()
+			c.f()
+		})
+	}
+}

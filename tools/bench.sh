@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Measures simulator throughput and appends entries to the BENCH_*.json
-# trajectory files so performance is visible across PRs.
+# Records the checkpoint warm-start and sampled-vs-exact measurements as
+# entries appended to the BENCH_*.json trajectory files. End-to-end
+# simulator speed is measured by the repository benchmark (bench/README.md).
 #
 # Usage: tools/bench.sh [label]     (label defaults to the short git HEAD)
 #
@@ -9,8 +10,6 @@
 # 1-CPU container and one from a 16-CPU box are not comparable otherwise.
 #
 # Sections (each appends one entry per invocation):
-#   BENCH_hotpath.json     tiny figure matrix wall time + simulated
-#                          cycles/second (BenchmarkFig*, BenchmarkSimulatorThroughput)
 #   BENCH_checkpoint.json  checkpoint warm-start vs cold rebuild over an
 #                          8-config sweep sharing one workload, from
 #                          `gpusim -benchcheckpoint` (the >=1.3x gate reads
@@ -31,8 +30,6 @@ cd "$(dirname "$0")/.."
 
 label="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabeled)}"
 git_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-cpus="$(nproc 2>/dev/null || echo 1)"
-gomaxprocs="${GOMAXPROCS:-$cpus}"
 raw="$(mktemp)"
 gpusim_bin="$(mktemp)"
 trap 'rm -f "$raw" "$gpusim_bin"' EXIT
@@ -78,38 +75,6 @@ append_json() {
 	PYEOF
 	echo "bench: recorded entry '$label' in $file" >&2
 }
-
-out_json="BENCH_hotpath.json"
-echo "bench: running tiny figure matrix (go test -bench ...)" >&2
-go test -run '^$' -bench 'BenchmarkFig|BenchmarkSimulatorThroughput' \
-	-benchtime 1x -timeout 60m . | tee "$raw" >&2
-
-entry="$(awk -v label="$label" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	-v cpus="$cpus" -v gmp="$gomaxprocs" -v sha="$git_sha" '
-/^BenchmarkFig/ {
-	# Format: BenchmarkFigNN...-P  N  <ns> ns/op  [<val> <metric>]...
-	for (i = 1; i <= NF; i++) if ($i == "ns/op") fig_ns += $(i-1)
-}
-/^BenchmarkSimulatorThroughput/ {
-	for (i = 1; i <= NF; i++) {
-		if ($i == "ns/op") tp_ns = $(i-1)
-		if ($i == "sim_cycles") tp_cycles = $(i-1)
-	}
-}
-END {
-	cps = (tp_ns > 0) ? tp_cycles / (tp_ns / 1e9) : 0
-	printf "  {\n"
-	printf "    \"label\": \"%s\",\n", label
-	printf "    \"date\": \"%s\",\n", date
-	printf "    \"host_cpus\": %d,\n", cpus
-	printf "    \"gomaxprocs\": %d,\n", gmp
-	printf "    \"git_sha\": \"%s\",\n", sha
-	printf "    \"total_fig_seconds\": %.3f,\n", fig_ns / 1e9
-	printf "    \"sim_cycles_per_second\": %.0f\n", cps
-	printf "  }"
-}' "$raw")"
-append_json "$out_json" "$entry"
-tail -n 8 "$out_json" >&2
 
 # The gpusim bench modes stamp host_cpus/gomaxprocs themselves from the Go
 # runtime; bench.sh only hands them the commit SHA via -benchlabel.

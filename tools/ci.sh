@@ -55,6 +55,11 @@ echo "== zero-alloc warm path with observability off"
 go test -run 'TestExecMemSteadyStateAllocFree|TestGatedSleepAllocFree' ./internal/gpu
 go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree' ./internal/vm
 
+# Per-layer run benchmarks: one iteration each keeps BenchmarkRunBlocking
+# and BenchmarkRunAugmented compiling and running. No timing gate.
+echo "== per-layer run benchmarks (internal/gpu, 1 iteration each)"
+go test -run '^$' -bench '^BenchmarkRun' -benchtime 1x ./internal/gpu
+
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
 # must validate; the campaign-driven figure-2 report must be byte-identical
 # to the flag-driven invocation it replaces (for any -j); and the
