@@ -1,6 +1,7 @@
 package gpummu
 
 import (
+	"context"
 	"testing"
 
 	"gpummu/internal/kernels"
@@ -53,7 +54,7 @@ func TestSpeedupMath(t *testing.T) {
 }
 
 func TestRunWorkloadUnknown(t *testing.T) {
-	if _, err := RunWorkload("nonsense", SizeTiny, SmallConfig(), 1); err == nil {
+	if _, err := Run(context.Background(), WithConfig(SmallConfig()), WithWorkload("nonsense", SizeTiny)); err == nil {
 		t.Fatal("unknown workload ran")
 	}
 }
@@ -65,7 +66,7 @@ func TestRunWorkloadPageShiftMismatchCaught(t *testing.T) {
 	}
 	cfg := SmallConfig()
 	cfg.PageShift = 21
-	if _, err := RunBuilt(w, cfg); err == nil {
+	if _, err := Run(context.Background(), WithConfig(cfg), WithBuilt(w)); err == nil {
 		t.Fatal("page-shift mismatch not caught")
 	}
 }
@@ -87,7 +88,7 @@ func TestRunKernelCustom(t *testing.T) {
 
 	cfg := SmallConfig()
 	cfg.MMU = AugmentedMMU()
-	rep, err := RunKernel(cfg, as, l)
+	rep, err := Run(context.Background(), WithConfig(cfg), WithKernel(as, l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +103,13 @@ func TestRunKernelCustom(t *testing.T) {
 }
 
 // TestRunBuiltVerifiesFunctionally confirms the functional check gate: a
-// verified run reports Verified.
+// verified run of a pre-built workload reports Verified.
 func TestRunBuiltVerifiesFunctionally(t *testing.T) {
-	rep, err := RunWorkload("pointerchase", SizeTiny, SmallConfig(), 3)
+	w, err := BuildWorkload("pointerchase", SizeTiny, 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), WithConfig(SmallConfig()), WithBuilt(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package gpummu
 // cmd/experiments; these benches exercise the identical code paths.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,7 +22,7 @@ var benchWorkloads = []string{"bfs", "kmeans"}
 
 func benchRun(b *testing.B, w string, cfg config.Hardware) *Report {
 	b.Helper()
-	rep, err := RunWorkload(w, SizeTiny, cfg, 1)
+	rep, err := Run(context.Background(), WithConfig(cfg), WithWorkload(w, SizeTiny))
 	if err != nil {
 		b.Fatal(err)
 	}

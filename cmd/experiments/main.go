@@ -35,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -43,6 +42,7 @@ import (
 	"gpummu/internal/config"
 	"gpummu/internal/experiments"
 	"gpummu/internal/gpu"
+	"gpummu/internal/obs"
 	"gpummu/internal/workloads"
 )
 
@@ -77,7 +77,15 @@ func main() {
 	isSet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { isSet[f.Name] = true })
 
-	stopProfiles := startProfiles(*cpuProf, *memProf)
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal("%v", err)
+	}
+	stopProfiles := func() {
+		if err := stopProf(); err != nil {
+			fatal("%v", err)
+		}
+	}
 	defer stopProfiles()
 
 	if *list {
@@ -292,45 +300,6 @@ func main() {
 		fmt.Fprintf(out, "\n## sampled-vs-exact — interval sampling validation (plan %s)\n\n%s\n", samplePlan, body)
 	}
 	closeReport()
-}
-
-// startProfiles starts the requested pprof collection and returns an
-// idempotent stop function that flushes the profiles. Call it both on the
-// normal return path (via defer) and before any explicit os.Exit.
-func startProfiles(cpu, heap string) func() {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fatal("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("-cpuprofile: %v", err)
-		}
-		cpuFile = f
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if heap != "" {
-			f, err := os.Create(heap)
-			if err != nil {
-				fatal("-memprofile: %v", err)
-			}
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal("-memprofile: %v", err)
-			}
-			f.Close()
-		}
-	}
 }
 
 func fatal(format string, args ...interface{}) {

@@ -1,11 +1,8 @@
-// Benchmark modes: -benchcheckpoint records the wall-clock delta of
-// checkpointed warm starts versus cold rebuilds over a multi-config sweep
-// sharing one workload, and -benchsampling records sampled-vs-exact wall
-// clock and accuracy per workload. Both emit a single JSON object on
-// stdout, stamped with host CPU count, GOMAXPROCS, and the git SHA handed
-// in via -benchlabel, so appended BENCH records are attributable to a
-// machine and commit (tools/bench.sh does the appending; schemas in
-// EXPERIMENTS.md).
+// Benchmark mode: -benchsampling records sampled-vs-exact wall clock and
+// accuracy per workload. It emits a single JSON object on stdout, stamped
+// with host CPU count, GOMAXPROCS, and the git SHA handed in via
+// -benchlabel, so appended BENCH records are attributable to a machine and
+// commit (tools/bench.sh does the appending; schema in EXPERIMENTS.md).
 package main
 
 import (
@@ -19,8 +16,6 @@ import (
 	"gpummu/internal/config"
 	"gpummu/internal/experiments"
 	"gpummu/internal/gpu"
-	"gpummu/internal/snapshot"
-	"gpummu/internal/stats"
 	"gpummu/internal/workloads"
 )
 
@@ -29,7 +24,7 @@ import (
 // sniffing fields.
 const benchSchema = "gpummu.bench/v1"
 
-// benchMeta is the host/commit attribution common to both bench records.
+// benchMeta is the host/commit attribution of a bench record.
 type benchMeta struct {
 	Schema     string `json:"schema"`
 	Kind       string `json:"kind"`
@@ -55,105 +50,6 @@ func newBenchMeta(kind, workload, size, label string) benchMeta {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GitSHA:     label,
 	}
-}
-
-type checkpointRecord struct {
-	benchMeta
-	Configs      int     `json:"configs"` // sweep points sharing the workload
-	ColdSeconds  float64 `json:"cold_seconds"`
-	WarmSeconds  float64 `json:"warm_seconds"`
-	Speedup      float64 `json:"speedup"`
-	WarmBuilds   int     `json:"warm_builds"`   // cold builds the pool still had to do (first acquisition)
-	WarmRestores int     `json:"warm_restores"` // acquisitions served by snapshot restore
-}
-
-// sweepConfigs derives n hardware points that share the workload build
-// (PageShift untouched) while varying the MMU design point — the shape of
-// the paper's figure sweeps. Entries double per point from 16 and the
-// augmented features toggle, so no two points dedupe to one key.
-func sweepConfigs(base config.Hardware, n int) []config.Hardware {
-	out := make([]config.Hardware, 0, n)
-	for i := 0; i < n; i++ {
-		c := base
-		c.MMU = config.AugmentedMMU()
-		c.MMU.Entries = 16 << (i % 6)
-		c.MMU.CacheOverlap = i%2 == 0
-		c.MMU.PTWSched = i%3 != 0
-		out = append(out, c)
-	}
-	return out
-}
-
-// runBenchCheckpoint measures a multi-config sweep sharing one workload
-// twice — cold (every run rebuilds the workload from scratch) and warm
-// (runs restore from one checkpoint via snapshot.Pool) — verifies the two
-// phases simulate identical cycle counts per config, and emits the delta
-// as JSON. This is the record the >= 1.3x acceptance gate reads.
-func runBenchCheckpoint(cfg config.Hardware, name, sizeName string, sz workloads.Size, seed uint64, nConfigs int, label string) error {
-	cfgs := sweepConfigs(cfg, nConfigs)
-
-	runOne := func(c config.Hardware, w *workloads.Workload) (uint64, error) {
-		st := &stats.Sim{}
-		g, err := gpu.New(c, w.AS, st)
-		if err != nil {
-			return 0, err
-		}
-		cycles, err := g.Run(w.Launch)
-		if err != nil {
-			return 0, err
-		}
-		if w.Check != nil {
-			if err := w.Check(); err != nil {
-				return 0, fmt.Errorf("functional check: %w", err)
-			}
-		}
-		return cycles, nil
-	}
-
-	coldCycles := make([]uint64, len(cfgs))
-	coldStart := time.Now()
-	for i, c := range cfgs {
-		w, err := workloads.Build(name, sz, c.PageShift, seed)
-		if err != nil {
-			return err
-		}
-		if coldCycles[i], err = runOne(c, w); err != nil {
-			return fmt.Errorf("cold config %d: %w", i, err)
-		}
-	}
-	coldSecs := time.Since(coldStart).Seconds()
-
-	pool := snapshot.NewPool()
-	warmStart := time.Now()
-	for i, c := range cfgs {
-		w, release, err := pool.Acquire(name, sz, c.PageShift, seed)
-		if err != nil {
-			return err
-		}
-		cycles, err := runOne(c, w)
-		release()
-		if err != nil {
-			return fmt.Errorf("warm config %d: %w", i, err)
-		}
-		if cycles != coldCycles[i] {
-			return fmt.Errorf("config %d: warm run simulated %d cycles, cold %d: checkpoint restore must be byte-identical", i, cycles, coldCycles[i])
-		}
-	}
-	warmSecs := time.Since(warmStart).Seconds()
-
-	ps := pool.Stats()
-	rec := checkpointRecord{
-		benchMeta:    newBenchMeta("checkpoint", name, sizeName, label),
-		Configs:      len(cfgs),
-		ColdSeconds:  coldSecs,
-		WarmSeconds:  warmSecs,
-		Speedup:      coldSecs / warmSecs,
-		WarmBuilds:   ps.Builds,
-		WarmRestores: ps.Restores,
-	}
-	fmt.Fprintf(os.Stderr, "# benchcheckpoint %d configs: cold %.3fs, warm %.3fs (%.2fx, %d builds + %d restores)\n",
-		rec.Configs, coldSecs, warmSecs, rec.Speedup, ps.Builds, ps.Restores)
-	return writeBenchJSON(rec)
 }
 
 // samplingWorkload is one workload's row in the sampling bench record.

@@ -23,18 +23,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
 
 	"gpummu/internal/campaign"
 	"gpummu/internal/config"
+	"gpummu/internal/experiments"
 	"gpummu/internal/gpu"
 	"gpummu/internal/obs"
 	"gpummu/internal/service"
@@ -67,13 +68,11 @@ func main() {
 		pwc      = flag.Int("pwc", 0, "page walk cache entries per core (0 = off; extension)")
 		cores    = flag.Int("cores", 0, "override core count (0 = 30)")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers when running several workloads")
-		benchCk  = flag.Int("benchcheckpoint", 0, "measure checkpoint warm-start vs cold rebuild over N sweep configs sharing one workload; emits a JSON record on stdout")
 		benchSmp = flag.Bool("benchsampling", false, "measure sampled-vs-exact wall clock and accuracy per workload on the augmented MMU; emits a JSON record on stdout")
 		benchLbl = flag.String("benchlabel", "", "commit label stamped into bench records (tools/bench.sh passes the git SHA)")
 		plan     = flag.String("sampleplan", "", "interval sampling plan warmup,detail,fastforward[,warm] in cycles; empty = exact runs")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		asJSON   = flag.Bool("json", false, "emit statistics as JSON")
-		events   = flag.Int("events", 0, "dump the last N simulation events to stderr (single workload only)")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON file, loadable in Perfetto (single workload only)")
 		sample   = flag.Uint64("sample", 0, "record a time-series sample every N cycles (single workload only)")
 		sampleTo = flag.String("samplefile", "", "CSV destination for -sample (default <workload>.samples.csv)")
@@ -94,7 +93,15 @@ func main() {
 	isSet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { isSet[f.Name] = true })
 
-	stopProfiles := startProfiles(*cpuProf, *memProf)
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal("%v", err)
+	}
+	stopProfiles := func() {
+		if err := stopProf(); err != nil {
+			fatal("%v", err)
+		}
+	}
 	defer stopProfiles()
 
 	if *list {
@@ -305,7 +312,7 @@ func main() {
 			name string
 			on   bool
 		}{
-			{"-events", *events > 0}, {"-trace", *trace != ""},
+			{"-trace", *trace != ""},
 			{"-sample", *sample > 0}, {"-metrics", *metrics != ""},
 		} {
 			if f.on {
@@ -313,29 +320,13 @@ func main() {
 			}
 		}
 	}
-	if *events > 0 && *trace != "" {
-		fatal("-events and -trace both claim the tracer; choose one")
-	}
-
-	if *benchCk > 0 || *benchSmp {
-		if *benchCk > 0 && *benchSmp {
-			fatal("-benchcheckpoint and -benchsampling are separate modes; choose one")
+	if *benchSmp {
+		if !samplePlan.Enabled() {
+			// The validated default: windows long enough that the TLBs
+			// re-warm organically inside each warmup (DESIGN.md §15).
+			samplePlan = gpu.SamplePlan{Warmup: 20000, Detail: 20000, FastForward: 1000000}
 		}
-		var err error
-		if *benchSmp {
-			if !samplePlan.Enabled() {
-				// The validated default: windows long enough that the TLBs
-				// re-warm organically inside each warmup (DESIGN.md §15).
-				samplePlan = gpu.SamplePlan{Warmup: 20000, Detail: 20000, FastForward: 1000000}
-			}
-			err = runBenchSampling(cfg, names, *size, sz, *seed, samplePlan, *benchLbl)
-		} else {
-			if len(names) != 1 {
-				fatal("-benchcheckpoint needs a single workload (got %d)", len(names))
-			}
-			err = runBenchCheckpoint(cfg, names[0], *size, sz, *seed, *benchCk, *benchLbl)
-		}
-		if err != nil {
+		if err := runBenchSampling(cfg, names, *size, sz, *seed, samplePlan, *benchLbl); err != nil {
 			fatal("%v", err)
 		}
 		return
@@ -360,49 +351,31 @@ func main() {
 		if err != nil {
 			return outcome{err: err}
 		}
-		st := &stats.Sim{}
-		g, err := gpu.New(cfg, w.AS, st)
-		if err != nil {
-			return outcome{err: err}
+		sim := experiments.Sim{
+			Workload:  w,
+			Config:    cfg,
+			Sampling:  samplePlan,
+			MaxCycles: *maxCyc,
+			Watchdog:  *watchdog,
+			Deadline:  deadlineAt,
 		}
-		g.WatchdogWindow = *watchdog
-		g.MaxCycles = *maxCyc
-		g.Deadline = deadlineAt
-		var ring *gpu.RingTracer
-		if *events > 0 {
-			ring = gpu.NewRingTracer(*events)
-			g.SetTracer(ring)
-		}
-		var ct *gpu.ChromeTracer
 		var traceFile *os.File
 		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
+			if traceFile, err = os.Create(*trace); err != nil {
 				return outcome{err: fmt.Errorf("-trace: %w", err)}
 			}
-			traceFile = f
-			ct = gpu.NewChromeTracer(f, cfg.NumCores)
-			g.SetTracer(ct)
+			sim.Trace = traceFile
 		}
 		if *sample > 0 {
-			g.Sampler = obs.NewSampler(*sample, 0)
+			sim.Sampler = obs.NewSampler(*sample, 0)
 		}
 		if *metrics != "" {
-			g.Metrics = obs.NewRegistry()
+			sim.Metrics = obs.NewRegistry()
 		}
-		var cycles uint64
-		var smp *stats.Sampled
-		if samplePlan.Enabled() {
-			cycles, smp, err = g.RunSampled(w.Launch, samplePlan)
-		} else {
-			cycles, err = g.Run(w.Launch)
-		}
-		if ct != nil {
-			// Close the trace document even on abort: a partial but
+		out, err := experiments.Run(context.Background(), sim)
+		if traceFile != nil {
+			// Run closed the trace document even on abort: a partial but
 			// well-formed trace is exactly what livelock debugging needs.
-			if cerr := ct.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("-trace: %w", cerr)
-			}
 			if cerr := traceFile.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("-trace: %w", cerr)
 			}
@@ -410,42 +383,31 @@ func main() {
 		if err != nil {
 			return outcome{err: fmt.Errorf("%s: %w", name, err)}
 		}
-		if g.Sampler != nil {
+		if sim.Sampler != nil {
 			dst := *sampleTo
 			if dst == "" {
 				dst = name + ".samples.csv"
 			}
-			if err := writeSamples(g.Sampler, dst); err != nil {
+			if err := writeSamples(sim.Sampler, dst); err != nil {
 				return outcome{err: err}
 			}
 		}
-		if g.Metrics != nil {
-			if err := writeMetrics(g.Metrics, *metrics); err != nil {
+		if sim.Metrics != nil {
+			if err := writeMetrics(sim.Metrics, *metrics); err != nil {
 				return outcome{err: err}
-			}
-		}
-		if w.Check != nil {
-			if err := w.Check(); err != nil {
-				return outcome{err: fmt.Errorf("%s: functional check: %w", name, err)}
 			}
 		}
 		if *progress {
 			fmt.Fprintf(os.Stderr, "# ran %s in %v: %d cycles\n",
-				name, time.Since(start).Round(time.Millisecond), cycles)
+				name, time.Since(start).Round(time.Millisecond), out.Cycles)
 		}
 		var b strings.Builder
 		if *asJSON {
-			if err := writeJSON(&b, name, sz, *seed, cfg, samplePlan, cycles, st, smp, time.Since(start)); err != nil {
+			if err := writeJSON(&b, name, sz, *seed, cfg, samplePlan, out.Cycles, out.Stats, out.Sampled, time.Since(start)); err != nil {
 				return outcome{err: err}
 			}
 		} else {
-			writeText(&b, name, *size, cycles, st, cfg, w, smp)
-		}
-		if ring != nil {
-			fmt.Fprintf(os.Stderr, "--- last %d of %d events ---\n", len(ring.Events()), ring.Total())
-			if err := ring.Dump(os.Stderr); err != nil {
-				return outcome{err: err}
-			}
+			writeText(&b, name, *size, out.Cycles, out.Stats, cfg, w, out.Sampled)
 		}
 		return outcome{text: b.String()}
 	}
@@ -501,45 +463,6 @@ func main() {
 	if failed {
 		stopProfiles()
 		os.Exit(1)
-	}
-}
-
-// startProfiles starts the requested pprof collection and returns an
-// idempotent stop function that flushes the profiles. Call it both on the
-// normal return path (via defer) and before any explicit os.Exit.
-func startProfiles(cpu, heap string) func() {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fatal("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("-cpuprofile: %v", err)
-		}
-		cpuFile = f
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if heap != "" {
-			f, err := os.Create(heap)
-			if err != nil {
-				fatal("-memprofile: %v", err)
-			}
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal("-memprofile: %v", err)
-			}
-			f.Close()
-		}
 	}
 }
 

@@ -1,18 +1,20 @@
 package gpummu_test
 
 import (
+	"context"
 	"fmt"
 
 	"gpummu"
 )
 
-// ExampleRunWorkload runs the paper's strawman MMU on a small BFS and
-// prints whether the functional check passed — the simulator computes real
+// ExampleRun runs the paper's strawman MMU on a small BFS and prints
+// whether the functional check passed — the simulator computes real
 // results, not just traffic.
-func ExampleRunWorkload() {
+func ExampleRun() {
 	cfg := gpummu.SmallConfig()
 	cfg.MMU = gpummu.NaiveMMU(3)
-	rep, err := gpummu.RunWorkload("bfs", gpummu.SizeTiny, cfg, 1)
+	rep, err := gpummu.Run(context.Background(),
+		gpummu.WithConfig(cfg), gpummu.WithWorkload("bfs", gpummu.SizeTiny))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

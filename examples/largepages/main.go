@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 
 func main() {
 	workloads := []string{"kmeans", "bfs", "mummergpu"}
+	ctx := context.Background()
 	fmt.Printf("%-12s %10s %12s %12s %12s\n",
 		"workload", "pages", "pagediv", "tlb-miss", "overhead")
 	for _, w := range workloads {
@@ -24,14 +26,14 @@ func main() {
 			cfg.NumCores = 8 // keep the example quick
 			cfg.PageShift = shift
 			cfg.MMU = gpummu.AugmentedMMU()
-			rep, err := gpummu.RunWorkload(w, gpummu.SizeTiny, cfg, 1)
+			rep, err := gpummu.Run(ctx, gpummu.WithConfig(cfg), gpummu.WithWorkload(w, gpummu.SizeTiny))
 			if err != nil {
 				log.Fatal(err)
 			}
 
 			base := cfg
 			base.MMU = gpummu.MMUConfig{Enabled: false}
-			baseRep, err := gpummu.RunWorkload(w, gpummu.SizeTiny, base, 1)
+			baseRep, err := gpummu.Run(ctx, gpummu.WithConfig(base), gpummu.WithWorkload(w, gpummu.SizeTiny))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 			cfg.MMU = gpummu.AugmentedMMU()
 			cfg.MMU.Entries = entries
 		}
-		return gpummu.RunKernel(cfg, as, l)
+		return gpummu.Run(context.Background(), gpummu.WithConfig(cfg), gpummu.WithKernel(as, l))
 	}
 
 	base, err := run(0)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,23 +16,24 @@ import (
 
 func main() {
 	const workload = "bfs"
+	ctx := context.Background()
 
 	base := gpummu.BaselineConfig() // no TLB: the normalisation baseline
-	baseRep, err := gpummu.RunWorkload(workload, gpummu.SizeTiny, base, 1)
+	baseRep, err := gpummu.Run(ctx, gpummu.WithConfig(base), gpummu.WithWorkload(workload, gpummu.SizeTiny))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	naive := gpummu.BaselineConfig()
 	naive.MMU = gpummu.NaiveMMU(3) // CPU-style blocking TLB (section 6.2)
-	naiveRep, err := gpummu.RunWorkload(workload, gpummu.SizeTiny, naive, 1)
+	naiveRep, err := gpummu.Run(ctx, gpummu.WithConfig(naive), gpummu.WithWorkload(workload, gpummu.SizeTiny))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	aug := gpummu.BaselineConfig()
 	aug.MMU = gpummu.AugmentedMMU() // the paper's design (section 6.3)
-	augRep, err := gpummu.RunWorkload(workload, gpummu.SizeTiny, aug, 1)
+	augRep, err := gpummu.Run(ctx, gpummu.WithConfig(aug), gpummu.WithWorkload(workload, gpummu.SizeTiny))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,7 +55,8 @@ func main() {
 	var baseline *gpummu.Report
 	fmt.Printf("%-32s %12s %10s %10s\n", "configuration", "cycles", "speedup", "tlb-miss")
 	for i, e := range entries {
-		rep, err := gpummu.RunWorkload(workload, gpummu.SizeTiny, e.cfg, 1)
+		rep, err := gpummu.Run(context.Background(),
+			gpummu.WithConfig(e.cfg), gpummu.WithWorkload(workload, gpummu.SizeTiny))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,12 +15,12 @@
 //
 //	cfg := gpummu.BaselineConfig()
 //	cfg.MMU = gpummu.AugmentedMMU()
-//	rep, err := gpummu.RunWorkload("bfs", gpummu.SizeSmall, cfg, 1)
+//	rep, err := gpummu.Run(ctx, gpummu.WithConfig(cfg),
+//	    gpummu.WithWorkload("bfs", gpummu.SizeSmall))
 //	fmt.Println(rep.Cycles, rep.TLBMissRate())
 //
-// The context-aware Run entry point adds observability on top: cycle-sampled
-// time series, Chrome trace output, labelled metric breakdowns, watchdog and
-// deadline guards:
+// Further options add observability: cycle-sampled time series, Chrome
+// trace output, labelled metric breakdowns, watchdog and deadline guards:
 //
 //	rep, err := gpummu.Run(ctx,
 //	    gpummu.WithConfig(cfg),
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"gpummu/internal/config"
+	"gpummu/internal/experiments"
 	"gpummu/internal/gpu"
 	"gpummu/internal/kernels"
 	"gpummu/internal/obs"
@@ -189,30 +190,17 @@ func (r *Report) Speedup(baseline *Report) float64 {
 }
 
 // runSpec is the resolved description of one simulation, assembled by
-// RunOptions and executed by runSim.
+// RunOptions: a workload source plus the experiments.Sim it completes.
 type runSpec struct {
-	cfg    Config
-	cfgSet bool
+	sim experiments.Sim // machine and run options; Run sets the workload
 
 	workload string // build this named workload...
 	size     Size
 	seed     uint64
 	built    *workloads.Workload // ...or run this pre-built one...
-	as       *vm.AddressSpace    // ...or this custom kernel launch
-	launch   *kernels.Launch
+	kernel   *workloads.Workload // ...or this custom kernel launch
 
-	check func() error // functional verification after the run
-
-	sampling      SamplePlan
-	invariants    bool
-	maxCycles     uint64
-	watchdog      uint64
-	deadline      time.Time
-	sampler       *Sampler
-	traceW        io.Writer
-	metrics       *Registry
-	progress      func(Progress)
-	progressEvery uint64
+	check func() error // replaces the workload's functional check
 }
 
 // RunOption configures one simulation passed to Run.
@@ -221,7 +209,7 @@ type RunOption func(*runSpec)
 // WithConfig sets the machine configuration. Without it, Run uses
 // BaselineConfig.
 func WithConfig(cfg Config) RunOption {
-	return func(s *runSpec) { s.cfg = cfg; s.cfgSet = true }
+	return func(s *runSpec) { s.sim.Config = cfg }
 }
 
 // WithWorkload selects one of the registered workloads at the given scale,
@@ -245,7 +233,12 @@ func WithBuilt(w *workloads.Workload) RunOption {
 // WithKernel runs a custom kernel launch over the given address space. Pair
 // with WithCheck to get a Verified report.
 func WithKernel(as *vm.AddressSpace, l *kernels.Launch) RunOption {
-	return func(s *runSpec) { s.as = as; s.launch = l }
+	return func(s *runSpec) {
+		s.kernel = nil
+		if l != nil {
+			s.kernel = &workloads.Workload{Name: l.Program.Name, AS: as, Launch: l}
+		}
+	}
 }
 
 // WithCheck sets (or, for workload runs, replaces) the functional
@@ -262,7 +255,7 @@ func WithCheck(fn func() error) RunOption {
 // 95% confidence intervals. Grids too small for the retire rate to be
 // measured degrade to exact execution. A zero plan disables sampling.
 func WithSampling(plan SamplePlan) RunOption {
-	return func(s *runSpec) { s.sampling = plan }
+	return func(s *runSpec) { s.sim.Sampling = plan }
 }
 
 // WithInvariants enables the debug-build invariant checker: the simulator
@@ -274,31 +267,31 @@ func WithSampling(plan SamplePlan) RunOption {
 // hot path stays allocation-free and pays only a bool test per audit
 // cadence).
 func WithInvariants() RunOption {
-	return func(s *runSpec) { s.invariants = true }
+	return func(s *runSpec) { s.sim.Invariants = true }
 }
 
 // WithMaxCycles aborts the run with ErrMaxCycles past this simulated cycle
 // (0 means no limit).
 func WithMaxCycles(n uint64) RunOption {
-	return func(s *runSpec) { s.maxCycles = n }
+	return func(s *runSpec) { s.sim.MaxCycles = n }
 }
 
 // WithWatchdog aborts the run with ErrLivelock when no thread block retires
 // for the given number of cycles — the forward-progress signal a spinning
 // kernel cannot fake (0 disables).
 func WithWatchdog(cycles uint64) RunOption {
-	return func(s *runSpec) { s.watchdog = cycles }
+	return func(s *runSpec) { s.sim.Watchdog = cycles }
 }
 
 // WithDeadline aborts the run with ErrDeadline once the wall clock passes t.
 func WithDeadline(t time.Time) RunOption {
-	return func(s *runSpec) { s.deadline = t }
+	return func(s *runSpec) { s.sim.Deadline = t }
 }
 
 // WithSampler records an interval time series into smp during the run; the
 // report's Series holds the retained rows.
 func WithSampler(smp *Sampler) RunOption {
-	return func(s *runSpec) { s.sampler = smp }
+	return func(s *runSpec) { s.sim.Sampler = smp }
 }
 
 // WithTrace streams a Chrome trace-event JSON document (Perfetto-loadable)
@@ -307,19 +300,19 @@ func WithSampler(smp *Sampler) RunOption {
 // observability option with a per-event cost; with it absent the hot path
 // stays allocation-free.
 func WithTrace(w io.Writer) RunOption {
-	return func(s *runSpec) { s.traceW = w }
+	return func(s *runSpec) { s.sim.Trace = w }
 }
 
 // WithMetrics collects labelled per-core/per-walker/per-L2-slice breakdowns
 // into r at the end of the run; the report's Metrics points at it.
 func WithMetrics(r *Registry) RunOption {
-	return func(s *runSpec) { s.metrics = r }
+	return func(s *runSpec) { s.sim.Metrics = r }
 }
 
 // WithProgress calls fn roughly every `every` cycles (0 picks a default)
 // with a cheap snapshot of the run.
 func WithProgress(fn func(Progress), every uint64) RunOption {
-	return func(s *runSpec) { s.progress = fn; s.progressEvery = every }
+	return func(s *runSpec) { s.sim.Progress = fn; s.sim.ProgressEvery = every }
 }
 
 // Run executes one simulation described by opts under ctx and returns its
@@ -329,25 +322,13 @@ func WithProgress(fn func(Progress), every uint64) RunOption {
 // *AbortError whose cause matches the corresponding sentinel via errors.Is.
 func Run(ctx context.Context, opts ...RunOption) (*Report, error) {
 	spec := runSpec{seed: 1}
+	spec.sim.Config = BaselineConfig()
 	for _, o := range opts {
 		o(&spec)
 	}
-	return runSim(ctx, &spec)
-}
-
-// runSim is the single execution path behind Run and the deprecated
-// wrappers: it resolves the workload source, wires the observability
-// options, runs the kernel, and applies the functional check. Keeping one
-// helper keeps error formatting and the Verified gate uniform (RunKernel
-// historically skipped both).
-func runSim(ctx context.Context, spec *runSpec) (*Report, error) {
-	cfg := spec.cfg
-	if !spec.cfgSet {
-		cfg = BaselineConfig()
-	}
 
 	sources := 0
-	for _, set := range []bool{spec.workload != "", spec.built != nil, spec.launch != nil} {
+	for _, set := range []bool{spec.workload != "", spec.built != nil, spec.kernel != nil} {
 		if set {
 			sources++
 		}
@@ -355,123 +336,43 @@ func runSim(ctx context.Context, spec *runSpec) (*Report, error) {
 	if sources != 1 {
 		return nil, fmt.Errorf("gpummu: exactly one of WithWorkload, WithBuilt, WithKernel must be given (got %d)", sources)
 	}
-
-	name := spec.workload
-	as := spec.as
-	launch := spec.launch
-	check := spec.check
+	w := spec.built
 	switch {
 	case spec.workload != "":
-		w, err := workloads.Build(spec.workload, spec.size, cfg.PageShift, spec.seed)
+		var err error
+		w, err = workloads.Build(spec.workload, spec.size, spec.sim.Config.PageShift, spec.seed)
 		if err != nil {
 			return nil, fmt.Errorf("gpummu: building %s: %w", spec.workload, err)
 		}
-		as, launch = w.AS, w.Launch
-		if check == nil {
-			check = w.Check
-		}
-	case spec.built != nil:
-		name = spec.built.Name
-		as, launch = spec.built.AS, spec.built.Launch
-		if check == nil {
-			check = spec.built.Check
-		}
-	default:
-		name = launch.Program.Name
-		if as == nil {
+	case spec.kernel != nil:
+		if spec.kernel.AS == nil {
 			return nil, fmt.Errorf("gpummu: WithKernel needs a non-nil address space")
 		}
+		w = spec.kernel
 	}
+	if spec.check != nil {
+		checked := *w
+		checked.Check = spec.check
+		w = &checked
+	}
+	spec.sim.Workload = w
 
-	st := &stats.Sim{}
-	g, err := gpu.New(cfg, as, st)
+	out, err := experiments.Run(ctx, spec.sim)
 	if err != nil {
-		return nil, fmt.Errorf("gpummu: configuring %s: %w", name, err)
+		return nil, fmt.Errorf("gpummu: running %s: %w", w.Name, err)
 	}
-	g.Invariants = spec.invariants
-	g.MaxCycles = spec.maxCycles
-	g.WatchdogWindow = spec.watchdog
-	g.Deadline = spec.deadline
-	g.Sampler = spec.sampler
-	g.Metrics = spec.metrics
-	g.Progress = spec.progress
-	g.ProgressEvery = spec.progressEvery
-	if ctx != nil && ctx != context.Background() {
-		g.Ctx = ctx
-	}
-	var tracer *gpu.ChromeTracer
-	if spec.traceW != nil {
-		tracer = gpu.NewChromeTracer(spec.traceW, cfg.NumCores)
-		g.SetTracer(tracer)
-	}
-
-	var smp *stats.Sampled
-	var runErr error
-	if spec.sampling.Enabled() {
-		_, smp, runErr = g.RunSampled(launch, spec.sampling)
-	} else {
-		_, runErr = g.Run(launch)
-	}
-	if tracer != nil {
-		// Close even on failure so a partial trace is still valid JSON.
-		if cerr := tracer.Close(); cerr != nil && runErr == nil {
-			runErr = fmt.Errorf("writing trace: %w", cerr)
-		}
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("gpummu: running %s: %w", name, runErr)
-	}
-
-	rep := &Report{Sim: *st, Workload: name, Metrics: spec.metrics, Sampled: smp}
-	if spec.sampler != nil {
-		rep.Series = spec.sampler.Samples()
-	}
-	if check != nil {
-		if err := check(); err != nil {
-			return nil, fmt.Errorf("gpummu: functional check for %s: %w", name, err)
-		}
-		rep.Verified = true
+	rep := &Report{Sim: *out.Stats, Workload: w.Name, Verified: out.Checked,
+		Metrics: spec.sim.Metrics, Sampled: out.Sampled}
+	if spec.sim.Sampler != nil {
+		rep.Series = spec.sim.Sampler.Samples()
 	}
 	return rep, nil
-}
-
-// RunWorkload builds the named workload at the given scale and runs it on
-// a machine with cfg, returning the report. The workload's functional
-// check runs afterwards; a check failure is an error (the simulator must
-// compute real results, not just traffic). It is a thin wrapper over Run
-// with a background context and gains none of the option API's controls
-// (cancellation, observability, sampling).
-//
-// Deprecated: use Run with WithConfig, WithWorkload, and WithSeed.
-func RunWorkload(name string, size Size, cfg Config, seed uint64) (*Report, error) {
-	return Run(context.Background(), WithConfig(cfg), WithWorkload(name, size), WithSeed(seed))
-}
-
-// RunBuilt runs an already-constructed workload (from BuildWorkload) on a
-// machine with cfg. The same built workload must not be reused across runs
-// because kernels mutate their data. It is a thin wrapper over Run with a
-// background context.
-//
-// Deprecated: use Run with WithConfig and WithBuilt.
-func RunBuilt(w *workloads.Workload, cfg Config) (*Report, error) {
-	return Run(context.Background(), WithConfig(cfg), WithBuilt(w))
 }
 
 // BuildWorkload constructs a workload without running it, for callers that
 // want to inspect or reuse the construction path.
 func BuildWorkload(name string, size Size, pageShift uint, seed uint64) (*workloads.Workload, error) {
 	return workloads.Build(name, size, pageShift, seed)
-}
-
-// RunKernel executes a custom kernel launch over the given address space
-// with cfg, for users building their own workloads against the public ISA
-// in internal/kernels (re-exported by examples). It is a thin wrapper over
-// Run with a background context.
-//
-// Deprecated: use Run with WithConfig and WithKernel (and WithCheck to get
-// a Verified report).
-func RunKernel(cfg Config, as *vm.AddressSpace, l *kernels.Launch) (*Report, error) {
-	return Run(context.Background(), WithConfig(cfg), WithKernel(as, l))
 }
 
 // NewAddressSpace creates a fresh simulated address space for custom

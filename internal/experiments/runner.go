@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -188,11 +189,6 @@ type ObsOptions struct {
 	ProgressEvery uint64
 }
 
-// enabled reports whether any observability feature is requested.
-func (o ObsOptions) enabled() bool {
-	return o.SampleEvery > 0 || o.Watchdog > 0 || o.MaxCycles > 0 || !o.Deadline.IsZero() || o.Progress != nil
-}
-
 // Executor runs plans on a pool of worker goroutines.
 type Executor struct {
 	Workers  int            // goroutines; <= 0 means runtime.GOMAXPROCS(0)
@@ -277,13 +273,10 @@ func (e *Executor) store() Results {
 // the harness's inline fallback come through here, so a scheduler-aware
 // wrapper sees every simulation the executor ever starts.
 func (e *Executor) simulate(spec RunSpec) *RunResult {
-	run := func(s RunSpec) *RunResult {
-		return ExecuteSampled(s, e.Size, e.Seed, e.Obs, e.checkpointPool(), e.Sampling)
-	}
 	if e.Simulate != nil {
-		return e.Simulate(spec, run)
+		return e.Simulate(spec, e.run)
 	}
-	return run(spec)
+	return e.run(spec)
 }
 
 // Execute runs every spec in the plan that the store has no result for
@@ -344,107 +337,70 @@ func (e *Executor) logProgress(res *RunResult, total int) {
 		e.done, total, res.Spec, res.Wall.Round(time.Millisecond), res.Stats.Cycles)
 }
 
-// ExecuteOne runs a single spec to completion in the calling goroutine.
-// It builds a private workload and GPU so concurrent calls share no
-// simulator state; the result's statistics are final and never mutated
-// again (renderers receive clones).
-func ExecuteOne(spec RunSpec, size workloads.Size, seed uint64) *RunResult {
-	return ExecuteObs(spec, size, seed, ObsOptions{})
-}
-
-// ExecuteObs is ExecuteOne with per-run observability attached: a cycle
-// sampler (optionally persisted as CSV), a forward-progress watchdog, a
-// cycle budget, and a wall-clock deadline. With the zero ObsOptions it is
-// identical to ExecuteOne.
-func ExecuteObs(spec RunSpec, size workloads.Size, seed uint64, ob ObsOptions) *RunResult {
-	return ExecuteCk(spec, size, seed, ob, nil)
-}
-
-// ExecuteCk is ExecuteObs with checkpointed warm starts: when pool is
-// non-nil the workload is acquired from it — restored from a pristine
-// post-build snapshot when an instance exists, built cold (and
-// checkpointed) otherwise — and returned to the pool once the run and its
-// functional check finish. A nil pool builds cold, exactly as before.
-func ExecuteCk(spec RunSpec, size workloads.Size, seed uint64, ob ObsOptions, pool *snapshot.Pool) *RunResult {
-	return ExecuteSampled(spec, size, seed, ob, pool, gpu.SamplePlan{})
-}
-
-// ExecuteSampled is ExecuteCk with optional SMARTS-style interval sampling:
-// a non-zero plan runs the simulation through gpu.RunSampled, attaches the
-// per-interval record to the result, and replaces Stats.Cycles and
-// Stats.Instructions with the rounded whole-run estimates (the remaining
-// counters stay as measured-window totals, whose ratios are the sampled
-// estimators). Architectural state — and therefore the functional check —
-// is exact either way. A zero plan is exactly ExecuteCk.
-func ExecuteSampled(spec RunSpec, size workloads.Size, seed uint64, ob ObsOptions, pool *snapshot.Pool, plan gpu.SamplePlan) *RunResult {
+// run executes one spec to completion in the calling goroutine. It builds
+// a private workload (or acquires one from the checkpoint pool, releasing
+// it only after the functional check) and simulates it through Run, so
+// concurrent calls share no simulator state. Under a sample plan the
+// result's Stats.Cycles and Stats.Instructions become the rounded
+// whole-run estimates; the remaining counters stay measured-window
+// totals, whose ratios are the sampled estimators. The result's
+// statistics are final and never mutated again (renderers receive
+// clones).
+func (e *Executor) run(spec RunSpec) *RunResult {
 	res := &RunResult{Spec: spec}
 	start := time.Now()
 	defer func() { res.Wall = time.Since(start) }()
 
 	var wl *workloads.Workload
 	var err error
-	if pool != nil {
+	if pool := e.checkpointPool(); pool != nil {
 		var release func()
-		wl, release, err = pool.Acquire(spec.Workload, size, spec.Config.PageShift, seed)
+		wl, release, err = pool.Acquire(spec.Workload, e.Size, spec.Config.PageShift, e.Seed)
 		if release != nil {
 			defer release()
 		}
 	} else {
-		wl, err = workloads.Build(spec.Workload, size, spec.Config.PageShift, seed)
+		wl, err = workloads.Build(spec.Workload, e.Size, spec.Config.PageShift, e.Seed)
 	}
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	st := &stats.Sim{}
-	g, err := gpu.New(spec.Config, wl.AS, st)
-	if err != nil {
-		res.Err = err
-		return res
+	ob := e.Obs
+	sim := Sim{
+		Workload:  wl,
+		Config:    spec.Config,
+		Sampling:  e.Sampling,
+		MaxCycles: ob.MaxCycles,
+		Watchdog:  ob.Watchdog,
+		Deadline:  ob.Deadline,
 	}
-	if ob.enabled() {
-		g.MaxCycles = ob.MaxCycles
-		g.WatchdogWindow = ob.Watchdog
-		g.Deadline = ob.Deadline
-		if ob.SampleEvery > 0 {
-			g.Sampler = obs.NewSampler(ob.SampleEvery, 0)
-		}
-		if ob.Progress != nil {
-			g.Progress = func(p obs.Progress) { ob.Progress(spec, p) }
-			g.ProgressEvery = ob.ProgressEvery
-		}
+	if ob.SampleEvery > 0 {
+		sim.Sampler = obs.NewSampler(ob.SampleEvery, 0)
 	}
-	var runErr error
-	if plan.Enabled() {
-		var smp *stats.Sampled
-		_, smp, runErr = g.RunSampled(wl.Launch, plan)
-		if runErr == nil {
-			res.Sampled = smp
-			st.Cycles = uint64(smp.EstimatedCycles().Value + 0.5)
-			st.Instructions = stats.Counter(smp.EstimatedInstructions().Value + 0.5)
-		}
-	} else {
-		_, runErr = g.Run(wl.Launch)
+	if ob.Progress != nil {
+		sim.Progress = func(p obs.Progress) { ob.Progress(spec, p) }
+		sim.ProgressEvery = ob.ProgressEvery
 	}
-	if g.Sampler != nil {
-		res.Series = g.Sampler.Samples()
+	out, err := Run(context.Background(), sim)
+	if sim.Sampler != nil {
+		res.Series = sim.Sampler.Samples()
 		if ob.SampleDir != "" {
-			if err := writeSeriesCSV(ob.SampleDir, spec, g.Sampler); err != nil && runErr == nil {
-				runErr = err
+			if werr := writeSeriesCSV(ob.SampleDir, spec, sim.Sampler); werr != nil && err == nil {
+				err = werr
 			}
 		}
 	}
-	if runErr != nil {
-		res.Err = runErr
+	if err != nil {
+		res.Err = err
 		return res
 	}
-	if wl.Check != nil {
-		if err := wl.Check(); err != nil {
-			res.Err = fmt.Errorf("functional check: %w", err)
-			return res
-		}
+	if out.Sampled != nil {
+		res.Sampled = out.Sampled
+		out.Stats.Cycles = uint64(out.Sampled.EstimatedCycles().Value + 0.5)
+		out.Stats.Instructions = stats.Counter(out.Sampled.EstimatedInstructions().Value + 0.5)
 	}
-	res.Stats = st
+	res.Stats = out.Stats
 	return res
 }
 

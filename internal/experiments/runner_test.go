@@ -89,7 +89,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 
 // TestExecutorParallelMatchesInline cross-checks the worker pool against
 // the inline path: the same spec executed by an 8-worker pool and by a
-// direct ExecuteOne must produce identical cycle counts.
+// lone executor's run in the calling goroutine must produce identical
+// cycle counts.
 func TestExecutorParallelMatchesInline(t *testing.T) {
 	h, _ := workerHarness(8, "bfs")
 	p := NewPlan()
@@ -110,7 +111,7 @@ func TestExecutorParallelMatchesInline(t *testing.T) {
 		if res.Wall <= 0 {
 			t.Errorf("%s: no wall time recorded", s)
 		}
-		inline := ExecuteOne(s, workloads.SizeTiny, 1)
+		inline := (&Executor{Size: workloads.SizeTiny, Seed: 1}).run(s)
 		if inline.Err != nil {
 			t.Fatal(inline.Err)
 		}
@@ -133,7 +134,7 @@ func TestExecuteObsSamplesAndPersists(t *testing.T) {
 	h, _ := workerHarness(1, "bfs")
 	spec := h.Spec("bfs", h.cfgWith(config.AugmentedMMU()))
 	ob := ObsOptions{SampleEvery: 200, SampleDir: dir, Watchdog: 10_000_000, MaxCycles: 50_000_000}
-	res := ExecuteObs(spec, workloads.SizeTiny, 1, ob)
+	res := (&Executor{Size: workloads.SizeTiny, Seed: 1, Obs: ob}).run(spec)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -160,7 +161,7 @@ func TestExecuteObsSamplesAndPersists(t *testing.T) {
 		t.Fatalf("CSV missing header:\n%.120s", body)
 	}
 
-	plain := ExecuteOne(spec, workloads.SizeTiny, 1)
+	plain := (&Executor{Size: workloads.SizeTiny, Seed: 1}).run(spec)
 	if plain.Err != nil {
 		t.Fatal(plain.Err)
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -43,7 +44,8 @@ type SampledRun struct {
 // CompareSampled runs workload w at the given size twice on cfg — exact,
 // then under plan — and returns the comparison. Both runs build the
 // workload fresh with the same seed, so the exact run's end-of-run digests
-// are the oracle for the sampled run's architectural state.
+// are the oracle for the sampled run's architectural state. Each wall
+// time spans configuring, running and checking one build.
 func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uint64, plan gpu.SamplePlan) (*SampledRun, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -51,67 +53,45 @@ func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uin
 	if !plan.Enabled() {
 		return nil, fmt.Errorf("experiments: CompareSampled needs an enabled sample plan")
 	}
-	r := &SampledRun{Workload: w}
-
-	wl, err := workloads.Build(w, size, cfg.PageShift, seed)
-	if err != nil {
-		return nil, err
-	}
-	st := &stats.Sim{}
-	g, err := gpu.New(cfg, wl.AS, st)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	cycles, err := g.Run(wl.Launch)
-	if err != nil {
-		return nil, fmt.Errorf("%s exact: %w", w, err)
-	}
-	r.ExactWall = time.Since(start)
-	if wl.Check != nil {
-		if err := wl.Check(); err != nil {
-			return nil, fmt.Errorf("%s exact functional check: %w", w, err)
+	var outs [2]*Outcome
+	var walls [2]time.Duration
+	var mem, pt [2]uint64
+	for i, p := range []gpu.SamplePlan{{}, plan} {
+		label := [2]string{"exact", "sampled"}[i]
+		wl, err := workloads.Build(w, size, cfg.PageShift, seed)
+		if err != nil {
+			return nil, err
 		}
-	}
-	r.ExactCycles = cycles
-	r.ExactIPC = float64(st.Instructions.Value()) / float64(cycles)
-	r.ExactMissRate = st.TLBMissRate()
-	exactMem := ref.MemDigest(wl.AS)
-	exactPT := ref.PageTableDigest(wl.AS.Mem, wl.AS.PT.CR3())
-
-	wl2, err := workloads.Build(w, size, cfg.PageShift, seed)
-	if err != nil {
-		return nil, err
-	}
-	st2 := &stats.Sim{}
-	g2, err := gpu.New(cfg, wl2.AS, st2)
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	_, smp, err := g2.RunSampled(wl2.Launch, plan)
-	if err != nil {
-		return nil, fmt.Errorf("%s sampled: %w", w, err)
-	}
-	r.SampledWall = time.Since(start)
-	if wl2.Check != nil {
-		if err := wl2.Check(); err != nil {
-			return nil, fmt.Errorf("%s sampled functional check: %w", w, err)
+		start := time.Now()
+		outs[i], err = Run(context.Background(), Sim{Workload: wl, Config: cfg, Sampling: p})
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", w, label, err)
 		}
+		walls[i] = time.Since(start)
+		mem[i] = ref.MemDigest(wl.AS)
+		pt[i] = ref.PageTableDigest(wl.AS.Mem, wl.AS.PT.CR3())
 	}
-	r.Sampled = smp
-	r.EstCycles = smp.EstimatedCycles()
-	r.EstIPC = smp.IPC()
-	r.EstMissRate = smp.TLBMissRate()
+
+	exact, smp := outs[0], outs[1].Sampled
+	r := &SampledRun{
+		Workload:      w,
+		ExactCycles:   exact.Cycles,
+		ExactIPC:      float64(exact.Stats.Instructions.Value()) / float64(exact.Cycles),
+		ExactMissRate: exact.Stats.TLBMissRate(),
+		ExactWall:     walls[0],
+		Sampled:       smp,
+		EstCycles:     smp.EstimatedCycles(),
+		EstIPC:        smp.IPC(),
+		EstMissRate:   smp.TLBMissRate(),
+		SampledWall:   walls[1],
+		DigestMatch:   mem[0] == mem[1] && pt[0] == pt[1],
+	}
 	r.CyclesErr = r.EstCycles.RelErr(float64(r.ExactCycles))
 	r.IPCErr = r.EstIPC.RelErr(r.ExactIPC)
 	r.MissErr = r.EstMissRate.RelErr(r.ExactMissRate)
 	if r.SampledWall > 0 {
 		r.Speedup = float64(r.ExactWall) / float64(r.SampledWall)
 	}
-	r.DigestMatch = ref.MemDigest(wl2.AS) == exactMem &&
-		ref.PageTableDigest(wl2.AS.Mem, wl2.AS.PT.CR3()) == exactPT
-
 	return r, nil
 }
 

@@ -43,7 +43,7 @@ func NewChromeTracer(w io.Writer, cores int) *ChromeTracer {
 	return ct
 }
 
-// Trace implements Tracer.
+// Trace renders one simulator event.
 func (ct *ChromeTracer) Trace(e Event) {
 	ts := uint64(e.Cycle)
 	switch e.Kind {

@@ -45,7 +45,7 @@ type GPU struct {
 	// its front, so the blocks that do run detailed remain an unbiased
 	// sample of the grid even when per-block cost drifts with block id.
 	ffSkip []bool
-	tracer Tracer
+	tracer *ChromeTracer
 	shared *core.SharedTLB // non-nil only with the shared-L2-TLB extension
 
 	// Invariants enables the debug-build invariant checker: Run audits SIMT

@@ -59,8 +59,8 @@ func (g *GPU) sample(now engine.Cycle) {
 	smp.IcntUtil = g.sys.IcntUtilization(from, now)
 	smp.DRAMUtil = g.sys.DRAMUtilization(from, now)
 	g.Sampler.Record(smp)
-	if ct, ok := g.tracer.(*ChromeTracer); ok {
-		ct.counterSample(smp, g.sys.SliceStats())
+	if g.tracer != nil {
+		g.tracer.counterSample(smp, g.sys.SliceStats())
 	}
 }
 

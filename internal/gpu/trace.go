@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"io"
 
 	"gpummu/internal/engine"
 )
@@ -56,99 +55,10 @@ type Event struct {
 	A, B  uint64
 }
 
-// String renders one line per event, stable for tooling.
-func (e Event) String() string {
-	return fmt.Sprintf("%10d %-8s core=%d block=%d warp=%d a=%#x b=%d",
-		e.Cycle, e.Kind, e.Core, e.Block, e.Warp, e.A, e.B)
-}
-
-// Tracer receives simulation events. Implementations must be cheap: the
-// simulator calls them from the issue path.
-type Tracer interface {
-	Trace(Event)
-}
-
-// RingTracer keeps the most recent N events in a ring buffer — the default
-// tracer for post-mortem inspection without unbounded memory.
-type RingTracer struct {
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// NewRingTracer creates a tracer retaining the last capacity events.
-func NewRingTracer(capacity int) *RingTracer {
-	if capacity < 1 {
-		panic("gpu: RingTracer capacity must be >= 1")
-	}
-	return &RingTracer{buf: make([]Event, 0, capacity)}
-}
-
-// Trace implements Tracer.
-func (r *RingTracer) Trace(e Event) {
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		return
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % cap(r.buf)
-}
-
-// Total reports how many events were observed (including overwritten).
-func (r *RingTracer) Total() uint64 { return r.total }
-
-// Events returns the retained events in arrival order.
-func (r *RingTracer) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Dump writes the retained events, one per line.
-func (r *RingTracer) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriterTracer streams every event to an io.Writer (full traces; large).
-type WriterTracer struct {
-	W   io.Writer
-	err error
-}
-
-// Trace implements Tracer.
-func (t *WriterTracer) Trace(e Event) {
-	if t.err != nil {
-		return
-	}
-	_, t.err = fmt.Fprintln(t.W, e)
-}
-
-// Err reports the first write error, if any.
-func (t *WriterTracer) Err() error { return t.err }
-
-// FilterTracer forwards only selected kinds to another tracer.
-type FilterTracer struct {
-	Next Tracer
-	Keep map[EventKind]bool
-}
-
-// Trace implements Tracer.
-func (f *FilterTracer) Trace(e Event) {
-	if f.Keep[e.Kind] {
-		f.Next.Trace(e)
-	}
-}
-
-// SetTracer attaches a tracer to the GPU (nil detaches). Tracing costs a
-// few percent of simulation speed; attach only when inspecting runs.
-func (g *GPU) SetTracer(t Tracer) { g.tracer = t }
+// SetTracer attaches a Chrome tracer to the GPU (nil detaches). Tracing
+// costs a few percent of simulation speed; attach only when inspecting
+// runs.
+func (g *GPU) SetTracer(t *ChromeTracer) { g.tracer = t }
 
 // emit sends an event if a tracer is attached.
 func (g *GPU) emit(e Event) {

@@ -1,33 +1,14 @@
 package gpu
 
 import (
-	"strings"
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"gpummu/internal/config"
-	"gpummu/internal/engine"
 	"gpummu/internal/stats"
 	"gpummu/internal/workloads"
 )
-
-func TestRingTracerRetainsTail(t *testing.T) {
-	r := NewRingTracer(3)
-	for i := 0; i < 5; i++ {
-		r.Trace(Event{Cycle: engine.Cycle(i), Kind: EvIssue})
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retained %d", len(ev))
-	}
-	for i, e := range ev {
-		if int(e.Cycle) != i+2 {
-			t.Fatalf("event %d has cycle %d", i, e.Cycle)
-		}
-	}
-}
 
 func TestTracerCapturesRun(t *testing.T) {
 	cfg := config.SmallTest()
@@ -42,47 +23,31 @@ func TestTracerCapturesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewRingTracer(4096)
-	g.SetTracer(tr)
+	var buf bytes.Buffer
+	ct := NewChromeTracer(&buf, cfg.NumCores)
+	g.SetTracer(ct)
 	if _, err := g.Run(w.Launch); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[EventKind]int{}
-	for _, e := range tr.Events() {
-		kinds[e.Kind]++
-	}
-	for _, k := range []EventKind{EvIssue, EvTLBMiss, EvCompact} {
-		if kinds[k] == 0 {
-			t.Errorf("no %v events traced", k)
-		}
-	}
-	var sb strings.Builder
-	if err := tr.Dump(&sb); err != nil {
+	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "issue") {
-		t.Fatal("dump missing issue lines")
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
 	}
-}
-
-func TestFilterTracer(t *testing.T) {
-	ring := NewRingTracer(16)
-	f := &FilterTracer{Next: ring, Keep: map[EventKind]bool{EvBarrier: true}}
-	f.Trace(Event{Kind: EvIssue})
-	f.Trace(Event{Kind: EvBarrier})
-	if ring.Total() != 1 || ring.Events()[0].Kind != EvBarrier {
-		t.Fatalf("filter passed %d events", ring.Total())
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-}
-
-func TestWriterTracer(t *testing.T) {
-	var sb strings.Builder
-	wt := &WriterTracer{W: &sb}
-	wt.Trace(Event{Cycle: 42, Kind: EvWalkDone, Warp: 3, A: 0x99, B: 7})
-	if wt.Err() != nil {
-		t.Fatal(wt.Err())
+	names := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		names[e.Name]++
 	}
-	if !strings.Contains(sb.String(), "walkdone") || !strings.Contains(sb.String(), "0x99") {
-		t.Fatalf("bad render: %q", sb.String())
+	// A TLB miss renders as a "walk" span on the core's walker track.
+	for _, n := range []string{"issue", "walk", "compact"} {
+		if names[n] == 0 {
+			t.Errorf("no %s events traced", n)
+		}
 	}
 }

@@ -28,7 +28,11 @@ import (
 func runEnvelope(t *testing.T, workload string, cfg config.Hardware) *Result {
 	t.Helper()
 	spec := experiments.RunSpec{Workload: workload, Config: cfg}
-	res := experiments.ExecuteOne(spec, workloads.SizeTiny, 1)
+	plan := experiments.NewPlan()
+	plan.Add(spec)
+	exec := &experiments.Executor{Size: workloads.SizeTiny, Seed: 1}
+	exec.Execute(plan)
+	res, _ := exec.Store.Get(spec)
 	if res.Err != nil {
 		t.Fatalf("%s: %v", workload, res.Err)
 	}

@@ -1,6 +1,9 @@
 package gpummu
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestSmokeAllWorkloads runs every workload at tiny scale on the small
 // machine, with and without the augmented MMU, verifying functional
@@ -10,7 +13,7 @@ func TestSmokeAllWorkloads(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			base := SmallConfig()
-			rep, err := RunWorkload(name, SizeTiny, base, 1)
+			rep, err := Run(context.Background(), WithConfig(base), WithWorkload(name, SizeTiny))
 			if err != nil {
 				t.Fatalf("no-TLB run: %v", err)
 			}
@@ -23,7 +26,7 @@ func TestSmokeAllWorkloads(t *testing.T) {
 
 			cfg := SmallConfig()
 			cfg.MMU = AugmentedMMU()
-			rep2, err := RunWorkload(name, SizeTiny, cfg, 1)
+			rep2, err := Run(context.Background(), WithConfig(cfg), WithWorkload(name, SizeTiny))
 			if err != nil {
 				t.Fatalf("augmented run: %v", err)
 			}

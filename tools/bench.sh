@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Records the checkpoint warm-start and sampled-vs-exact measurements as
-# entries appended to the BENCH_*.json trajectory files. End-to-end
-# simulator speed is measured by the repository benchmark (bench/README.md).
+# Records the sampled-vs-exact measurement as an entry appended to the
+# BENCH_sampling.json trajectory file. End-to-end simulator speed is
+# measured by the repository benchmark (bench/README.md), and the
+# checkpoint warm-start delta by BenchmarkCheckpointSweep
+# (internal/experiments).
 #
 # Usage: tools/bench.sh [label]     (label defaults to the short git HEAD)
 #
@@ -9,11 +11,7 @@
 # so an entry is attributable to a machine and commit — a "speedup" from a
 # 1-CPU container and one from a 16-CPU box are not comparable otherwise.
 #
-# Sections (each appends one entry per invocation):
-#   BENCH_checkpoint.json  checkpoint warm-start vs cold rebuild over an
-#                          8-config sweep sharing one workload, from
-#                          `gpusim -benchcheckpoint` (the >=1.3x gate reads
-#                          this record's "speedup")
+# Section (appends one entry per invocation):
 #   BENCH_sampling.json    sampled-vs-exact wall clock and accuracy per
 #                          workload, from `gpusim -benchsampling` (the >=5x
 #                          / <=2% gate reads aggregate_speedup, max_ipc_err
@@ -76,18 +74,9 @@ append_json() {
 	echo "bench: recorded entry '$label' in $file" >&2
 }
 
-# The gpusim bench modes stamp host_cpus/gomaxprocs themselves from the Go
-# runtime; bench.sh only hands them the commit SHA via -benchlabel.
+# The gpusim bench mode stamps host_cpus/gomaxprocs itself from the Go
+# runtime; bench.sh only hands it the commit SHA via -benchlabel.
 go build -o "$gpusim_bin" ./cmd/gpusim
-
-# mummergpu/tiny on a 4-core machine has the highest build-time fraction
-# (suffix-tree construction dominates), so the checkpoint delta is a
-# signal, not noise — see EXPERIMENTS.md for the methodology.
-echo "bench: running checkpoint warm-start delta (gpusim -benchcheckpoint)" >&2
-"$gpusim_bin" -workload mummergpu -size tiny -cores 4 \
-	-benchcheckpoint 8 -benchlabel "$git_sha" >"$raw"
-append_json "BENCH_checkpoint.json" "$(cat "$raw")"
-tail -n 16 "BENCH_checkpoint.json" >&2
 
 # Sampled-vs-exact: large datasets on the paper's augmented MMU (forced by
 # -benchsampling), under the validated default plan 20000,20000,1000000 —

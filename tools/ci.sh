@@ -55,19 +55,36 @@ echo "== zero-alloc warm path with observability off"
 go test -run 'TestExecMemSteadyStateAllocFree|TestGatedSleepAllocFree' ./internal/gpu
 go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree' ./internal/vm
 
-# Per-layer run benchmarks: one iteration each keeps BenchmarkRunBlocking
-# and BenchmarkRunAugmented compiling and running. No timing gate.
-echo "== per-layer run benchmarks (internal/gpu, 1 iteration each)"
+# Per-layer run benchmarks: one iteration each keeps BenchmarkRunBlocking,
+# BenchmarkRunAugmented and BenchmarkCheckpointSweep compiling and running.
+# No timing gate; the checkpoint sweep fails if a warm-started run
+# simulates different cycles than its cold twin.
+echo "== per-layer run benchmarks (internal/gpu, internal/experiments, 1 iteration each)"
 go test -run '^$' -bench '^BenchmarkRun' -benchtime 1x ./internal/gpu
+go test -run '^$' -bench '^BenchmarkCheckpointSweep$' -benchtime 1x ./internal/experiments
 
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
 # must validate; the campaign-driven figure-2 report must be byte-identical
 # to the flag-driven invocation it replaces (for any -j); and the
 # committed sample request trace must replay end to end with its
-# functional check passing.
-echo "== campaign gates (validate examples; campaign == flags; trace replay)"
+# functional check passing. gpusim's own text reports are pinned by two
+# goldens: an exact tiny run of three workloads and a small sampled run
+# whose plan really fast-forwards.
+echo "== campaign gates (validate examples; campaign == flags; trace replay; gpusim goldens)"
 go build -o "$obs_tmp/experiments" ./cmd/experiments
 go build -o "$obs_tmp/gpusim" ./cmd/gpusim
+"$obs_tmp/gpusim" -workload bfs,memcached,pointerchase -size tiny -mmu augmented -j 2 \
+	>"$obs_tmp/gpusim.tiny.txt"
+if ! cmp -s cmd/gpusim/testdata/tiny-augmented.golden "$obs_tmp/gpusim.tiny.txt"; then
+	echo "ci: FAIL gpusim tiny report differs from cmd/gpusim/testdata/tiny-augmented.golden" >&2
+	exit 1
+fi
+"$obs_tmp/gpusim" -workload memcached,bfs -size small -cores 4 -mmu augmented \
+	-sampleplan 1000,4000,40000 -j 2 >"$obs_tmp/gpusim.sampled.txt"
+if ! cmp -s cmd/gpusim/testdata/sampled-small.golden "$obs_tmp/gpusim.sampled.txt"; then
+	echo "ci: FAIL gpusim sampled report differs from cmd/gpusim/testdata/sampled-small.golden" >&2
+	exit 1
+fi
 for f in examples/campaigns/*; do
 	"$obs_tmp/experiments" -campaign "$f" -validate >/dev/null
 done
