@@ -11,10 +11,11 @@
 //	gpusim -workload bfs,kmeans -json          # machine-readable array
 //	gpusim -campaign replay.yaml               # machine + workloads from a file
 //
-// -campaign takes the machine, workload set, and run options from a
-// campaign file (see DESIGN.md section 13); explicitly-set flags override
-// it (flags > campaign > defaults). Campaigns that declare sweep axes or
-// figures belong to cmd/experiments — gpusim runs only the workload set.
+// Every run is a campaign (DESIGN.md section 13): the -campaign file, or
+// gpusim's defaults (bfs on the baseline machine), with each flag set on
+// the command line overriding the field it names (section 13.2). -validate
+// prints that campaign. Campaigns that declare sweep axes or figures
+// belong to cmd/experiments — gpusim runs only the workload set.
 //
 // -workload accepts a single name, a comma-separated list, or "all"; with
 // more than one workload the simulations run on -j parallel goroutines
@@ -52,46 +53,41 @@ func main() {
 	if runClientVerb() {
 		return
 	}
+	// Flags that name campaign fields only document their defaults here:
+	// campaign.ApplyFlags gives them their meaning.
+	flag.String("workload", "bfs", "workload name, comma list, or 'all' (see -list)")
+	flag.String("size", "small", "tiny|small|medium|large")
+	flag.Uint64("seed", 1, "workload seed")
+	flag.String("mmu", "none", "MMU preset: none|naive|nonblocking|augmented|ideal")
+	flag.Int("ports", 0, "TLB ports (default: the MMU preset's)")
+	flag.Int("entries", 0, "TLB entries (default: the MMU preset's)")
+	flag.Int("ptws", 0, "hardware page table walkers per core (default: the MMU preset's)")
+	flag.String("sched", "lrr", "lrr|gto|ccws|ta-ccws|tcws")
+	flag.String("tbc", "off", "off|tbc|tlb-aware")
+	flag.String("pages", "4k", "4k|2m")
+	flag.Int("sharedtlb", 0, "shared L2 TLB entries (0 = off; extension)")
+	flag.Bool("software-walks", false, "service misses with OS handlers (extension)")
+	flag.Int("pwc", 0, "page walk cache entries per core (0 = off; extension)")
+	flag.Int("cores", 0, "core count (0 = the machine's, 30 on the baseline)")
+	flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers when running several workloads")
+	flag.String("sampleplan", "", "interval sampling plan warmup,detail,fastforward[,warm] in cycles; empty = exact runs")
+	flag.Uint64("sample", 0, "record a time-series sample every N cycles (single workload only)")
+	flag.Uint64("watchdog", 0, "abort when no thread block retires for N cycles (0 = off)")
+	flag.Uint64("maxcycles", 0, "abort after N simulated cycles (0 = unbounded)")
+	flag.Duration("deadline", 0, "wall-clock budget for the run, e.g. 30s (0 = none)")
 	var (
-		workload = flag.String("workload", "bfs", "workload name, comma list, or 'all' (see -list)")
-		size     = flag.String("size", "small", "tiny|small|medium|large")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		mmu      = flag.String("mmu", "none", "none|naive|nonblocking|augmented|ideal")
-		ports    = flag.Int("ports", 4, "TLB ports (naive/nonblocking/augmented)")
-		entries  = flag.Int("entries", 128, "TLB entries")
-		ptws     = flag.Int("ptws", 1, "hardware page table walkers per core")
-		sched    = flag.String("sched", "lrr", "lrr|gto|ccws|ta-ccws|tcws")
-		tbc      = flag.String("tbc", "off", "off|tbc|tlb-aware")
-		pages    = flag.String("pages", "4k", "4k|2m")
-		shared   = flag.Int("sharedtlb", 0, "shared L2 TLB entries (0 = off; extension)")
-		software = flag.Bool("software-walks", false, "service misses with OS handlers (extension)")
-		pwc      = flag.Int("pwc", 0, "page walk cache entries per core (0 = off; extension)")
-		cores    = flag.Int("cores", 0, "override core count (0 = 30)")
-		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers when running several workloads")
-		benchSmp = flag.Bool("benchsampling", false, "measure sampled-vs-exact wall clock and accuracy per workload on the augmented MMU; emits a JSON record on stdout")
-		benchLbl = flag.String("benchlabel", "", "commit label stamped into bench records (tools/bench.sh passes the git SHA)")
-		plan     = flag.String("sampleplan", "", "interval sampling plan warmup,detail,fastforward[,warm] in cycles; empty = exact runs")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		asJSON   = flag.Bool("json", false, "emit statistics as JSON")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON file, loadable in Perfetto (single workload only)")
-		sample   = flag.Uint64("sample", 0, "record a time-series sample every N cycles (single workload only)")
 		sampleTo = flag.String("samplefile", "", "CSV destination for -sample (default <workload>.samples.csv)")
 		metrics  = flag.String("metrics", "", "write the labelled metrics registry to this file; '-' means stderr (single workload only)")
-		watchdog = flag.Uint64("watchdog", 0, "abort when no thread block retires for N cycles (0 = off)")
-		maxCyc   = flag.Uint64("maxcycles", 0, "abort after N simulated cycles (0 = unbounded)")
-		deadline = flag.Duration("deadline", 0, "wall-clock budget for the run, e.g. 30s (0 = none)")
 		progress = flag.Bool("v", false, "log per-run completion to stderr")
-		campFile = flag.String("campaign", "", "campaign file (YAML or JSON); explicitly-set flags override it")
-		validate = flag.Bool("validate", false, "validate -campaign, print its canonical form, and exit")
+		campFile = flag.String("campaign", "", "campaign file (YAML or JSON); each flag set on the command line overrides the field it names (DESIGN.md section 13.2)")
+		validate = flag.Bool("validate", false, "print the campaign the command line spells, in canonical form, and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	// isSet records which flags the command line touched: an explicitly-set
-	// flag beats the campaign, an untouched one defers to it.
-	isSet := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { isSet[f.Name] = true })
 
 	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -111,231 +107,57 @@ func main() {
 		return
 	}
 
+	// The base campaign is the -campaign file or gpusim's defaults; the
+	// command line's flags then override it.
 	var camp *campaign.Campaign
 	if *campFile != "" {
-		c, err := campaign.Load(*campFile)
-		if err != nil {
-			fatal("%v", err)
-		}
-		camp = c
+		camp, err = campaign.Load(*campFile)
+	} else {
+		camp, err = campaign.NewAdhoc("gpusim", []string{"bfs"}, "", 0, "", nil, campaign.RunOptions{})
 	}
-	// -validate checks and canonicalises any campaign — including sweep
-	// campaigns gpusim itself won't run — matching cmd/experiments.
+	if err != nil {
+		fatal("%v", err)
+	}
+	if err := camp.ApplyFlags(flag.CommandLine); err != nil {
+		fatal("%v", err)
+	}
+	// -validate prints any campaign — including sweep campaigns gpusim
+	// itself won't run — matching cmd/experiments.
 	if *validate {
-		if camp == nil {
-			fatal("-validate requires -campaign")
-		}
 		os.Stdout.Write(camp.Emit())
 		return
 	}
-	if camp != nil && len(camp.Sweep.Axes) > 0 {
+	if len(camp.Sweep.Axes) > 0 {
 		fatal("campaign %q declares sweep axes; run it with cmd/experiments", camp.Name)
 	}
-
-	var cfg config.Hardware
-	if camp != nil {
-		c, err := camp.MachineConfig()
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg = c
-	} else {
-		cfg = config.Baseline()
-	}
-	if *cores > 0 {
-		cfg.NumCores = *cores
-	}
-
-	// Without a campaign the -mmu/-sched/-tbc/-pages blocks apply as they
-	// always have (flag defaults included). With one, the campaign machine
-	// is authoritative and only explicitly-set flags override it.
-	if camp == nil || isSet["mmu"] {
-		switch *mmu {
-		case "none":
-			if isSet["mmu"] {
-				cfg.MMU = config.MMU{Enabled: false}
-			}
-		case "naive":
-			cfg.MMU = config.NaiveMMU(*ports)
-		case "nonblocking":
-			cfg.MMU = config.NaiveMMU(*ports)
-			cfg.MMU.HitsUnderMiss = true
-			cfg.MMU.CacheOverlap = true
-		case "augmented":
-			cfg.MMU = config.AugmentedMMU()
-			cfg.MMU.Ports = *ports
-		case "ideal":
-			cfg.MMU = config.MMU{}.Ideal()
-		default:
-			fatal("unknown -mmu %q", *mmu)
-		}
-		if cfg.MMU.Enabled {
-			cfg.MMU.Entries = *entries
-			cfg.MMU.NumPTWs = *ptws
-			cfg.MMU.SharedTLBEntries = *shared
-			cfg.MMU.PWCEntries = *pwc
-			if *software {
-				cfg.MMU.SoftwareWalks = true
-				cfg.MMU.SoftwareWalkOverhead = 300
-			}
-		}
-	} else if cfg.MMU.Enabled {
-		if isSet["entries"] {
-			cfg.MMU.Entries = *entries
-		}
-		if isSet["ports"] {
-			cfg.MMU.Ports = *ports
-		}
-		if isSet["ptws"] {
-			cfg.MMU.NumPTWs = *ptws
-		}
-		if isSet["sharedtlb"] {
-			cfg.MMU.SharedTLBEntries = *shared
-		}
-		if isSet["pwc"] {
-			cfg.MMU.PWCEntries = *pwc
-		}
-		if isSet["software-walks"] && *software {
-			cfg.MMU.SoftwareWalks = true
-			cfg.MMU.SoftwareWalkOverhead = 300
-		}
-	}
-
-	if camp == nil || isSet["sched"] {
-		switch *sched {
-		case "lrr":
-			if isSet["sched"] {
-				cfg.Sched.Policy = config.SchedLRR
-			}
-		case "gto":
-			cfg.Sched.Policy = config.SchedGTO
-		case "ccws":
-			cfg.Sched.Policy = config.SchedCCWS
-		case "ta-ccws":
-			cfg.Sched.Policy = config.SchedTACCWS
-			cfg.Sched.TLBMissWeight = 4
-		case "tcws":
-			cfg.Sched.Policy = config.SchedTCWS
-			cfg.Sched.TLBMissWeight = 4
-			cfg.Sched.VTAEntriesPerWarp = 8
-			cfg.Sched.LRUDepthWeights = []int{1, 2, 4, 8}
-		default:
-			fatal("unknown -sched %q", *sched)
-		}
-	}
-
-	if camp == nil || isSet["tbc"] {
-		switch *tbc {
-		case "off":
-			if isSet["tbc"] {
-				cfg.TBC.Mode = config.DivStack
-			}
-		case "tbc":
-			cfg.TBC.Mode = config.DivTBC
-		case "tlb-aware":
-			cfg.TBC.Mode = config.DivTLBTBC
-		default:
-			fatal("unknown -tbc %q", *tbc)
-		}
-	}
-
-	if camp == nil || isSet["pages"] {
-		switch *pages {
-		case "4k":
-			if isSet["pages"] {
-				cfg.PageShift = 12
-			}
-		case "2m":
-			cfg.PageShift = 21
-		default:
-			fatal("unknown -pages %q", *pages)
-		}
-	}
-
-	if camp != nil && !isSet["size"] {
-		*size = camp.Workloads.Size
-	}
-	sz, err := workloads.ParseSize(*size)
+	cfg, err := camp.MachineConfig()
 	if err != nil {
-		fatal("-size: %v", err)
+		fatal("%v", err)
 	}
-	if camp != nil && !isSet["seed"] {
-		*seed = camp.Workloads.Seed
+	size, seed, names := camp.Workloads.Size, camp.Workloads.Seed, camp.Workloads.Names
+	sz, err := workloads.ParseSize(size)
+	if err != nil {
+		fatal("%v", err)
 	}
-	samplePlan := gpu.SamplePlan{}
-	if camp != nil && !isSet["sampleplan"] {
-		samplePlan = camp.Run.Sampling
-	} else if *plan != "" {
-		p, err := gpu.ParseSamplePlan(*plan)
-		if err != nil {
-			fatal("-sampleplan: %v", err)
-		}
-		samplePlan = p
-	}
-	if camp != nil && !isSet["j"] && camp.Run.Workers > 0 {
-		*workers = camp.Run.Workers
-	}
-	if camp != nil && !isSet["watchdog"] {
-		*watchdog = camp.Obs.Watchdog
-	}
-	if camp != nil && !isSet["maxcycles"] {
-		*maxCyc = camp.Obs.MaxCycles
-	}
-	if camp != nil && !isSet["deadline"] {
-		*deadline = camp.Obs.Deadline
-	}
-
-	var names []string
-	if camp != nil && !isSet["workload"] {
-		names = camp.Workloads.Names
-	} else if *workload == "all" {
-		names = workloads.Names()
-	} else {
-		for _, n := range strings.Split(*workload, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
-	if len(names) == 0 {
-		fatal("no workloads given")
-	}
-	// Fail fast on names the registry (or the trace resolver) rejects,
-	// listing what would have worked.
-	for _, n := range names {
-		if err := workloads.Resolve(n); err != nil {
-			fatal("%v", err)
-		}
-	}
+	samplePlan, sampleEvery := camp.Run.Sampling, camp.Obs.SampleEvery
 	if len(names) > 1 {
 		for _, f := range []struct {
 			name string
 			on   bool
 		}{
 			{"-trace", *trace != ""},
-			{"-sample", *sample > 0}, {"-metrics", *metrics != ""},
+			{"-sample", sampleEvery > 0}, {"-metrics", *metrics != ""},
 		} {
 			if f.on {
 				fatal("%s needs a single workload", f.name)
 			}
 		}
 	}
-	if *benchSmp {
-		if !samplePlan.Enabled() {
-			// The validated default: windows long enough that the TLBs
-			// re-warm organically inside each warmup (DESIGN.md §15).
-			samplePlan = gpu.SamplePlan{Warmup: 20000, Detail: 20000, FastForward: 1000000}
-		}
-		if err := runBenchSampling(cfg, names, *size, sz, *seed, samplePlan, *benchLbl); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
 
 	// The deadline covers the whole command, so anchor it before fan-out.
 	var deadlineAt time.Time
-	if *deadline > 0 {
-		deadlineAt = time.Now().Add(*deadline)
+	if camp.Obs.Deadline > 0 {
+		deadlineAt = time.Now().Add(camp.Obs.Deadline)
 	}
 
 	type outcome struct {
@@ -347,7 +169,7 @@ func main() {
 	run := func(i int) outcome {
 		name := names[i]
 		start := time.Now()
-		w, err := workloads.Build(name, sz, cfg.PageShift, *seed)
+		w, err := workloads.Build(name, sz, cfg.PageShift, seed)
 		if err != nil {
 			return outcome{err: err}
 		}
@@ -355,8 +177,8 @@ func main() {
 			Workload:  w,
 			Config:    cfg,
 			Sampling:  samplePlan,
-			MaxCycles: *maxCyc,
-			Watchdog:  *watchdog,
+			MaxCycles: camp.Obs.MaxCycles,
+			Watchdog:  camp.Obs.Watchdog,
 			Deadline:  deadlineAt,
 		}
 		var traceFile *os.File
@@ -366,8 +188,8 @@ func main() {
 			}
 			sim.Trace = traceFile
 		}
-		if *sample > 0 {
-			sim.Sampler = obs.NewSampler(*sample, 0)
+		if sampleEvery > 0 {
+			sim.Sampler = obs.NewSampler(sampleEvery, 0)
 		}
 		if *metrics != "" {
 			sim.Metrics = obs.NewRegistry()
@@ -403,20 +225,20 @@ func main() {
 		}
 		var b strings.Builder
 		if *asJSON {
-			if err := writeJSON(&b, name, sz, *seed, cfg, samplePlan, out.Cycles, out.Stats, out.Sampled, time.Since(start)); err != nil {
+			if err := writeJSON(&b, name, sz, seed, cfg, samplePlan, out.Cycles, out.Stats, out.Sampled, time.Since(start)); err != nil {
 				return outcome{err: err}
 			}
 		} else {
-			writeText(&b, name, *size, out.Cycles, out.Stats, cfg, w, out.Sampled)
+			writeText(&b, name, size, out.Cycles, out.Stats, cfg, w, out.Sampled)
 		}
 		return outcome{text: b.String()}
 	}
 
 	// Fan the runs across -j workers; each builds its own workload and GPU
 	// so nothing is shared. Reports print in workload order afterwards.
-	nw := *workers
-	if nw < 1 {
-		nw = 1
+	nw := camp.Run.Workers
+	if nw == 0 {
+		nw = runtime.GOMAXPROCS(0)
 	}
 	if nw > len(names) {
 		nw = len(names)

@@ -23,7 +23,9 @@
 //     a sweep Figure whose RunSpecs dedupe by config.Hardware.Key like
 //     every other figure.
 //
-// DESIGN.md section 13 is the field-by-field reference.
+// ApplyFlags (flags.go) overlays a CLI's command line on a campaign, so a
+// flag invocation is a campaign too. DESIGN.md section 13 is the
+// field-by-field reference, flags included.
 package campaign
 
 import (

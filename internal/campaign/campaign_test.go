@@ -68,6 +68,40 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// FuzzCampaignParse feeds arbitrary bytes to Parse, the entry point of
+// campaign files and of POST /v1/jobs documents: it must never panic, and
+// every document it accepts must emit a canonical form that re-parses and
+// re-emits byte-identically.
+func FuzzCampaignParse(f *testing.F) {
+	for _, pattern := range []string{"testdata/*", "../../examples/campaigns/*"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Parse(data)
+		if err != nil {
+			return
+		}
+		first := c.Emit()
+		c2, err := Parse(first)
+		if err != nil {
+			t.Fatalf("canonical form does not re-parse: %v\n%s", err, first)
+		}
+		if second := c2.Emit(); !bytes.Equal(second, first) {
+			t.Fatalf("canonical form is not a fixpoint:\n--- first ---\n%s--- second ---\n%s", first, second)
+		}
+	})
+}
+
 // TestValidationErrors pins the typed-error contract: every invalid
 // campaign fails with a *config.FieldError naming the exact field.
 func TestValidationErrors(t *testing.T) {

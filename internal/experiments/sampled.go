@@ -1,5 +1,5 @@
 // Exact-vs-sampled comparison: the validation harness behind the
-// `-sampleplan` report and `gpusim -benchsampling`. Each workload is run
+// `-samplereport` table and BenchmarkSampledVsExact. Each workload is run
 // twice on the same machine — once exact, once under the sample plan — and
 // the headline metrics are compared, with the end-of-run memory and
 // page-table digests pinning that fast-forward advanced architectural
@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"gpummu/internal/config"
 	"gpummu/internal/gpu"
@@ -25,27 +24,23 @@ type SampledRun struct {
 	ExactCycles   uint64
 	ExactIPC      float64
 	ExactMissRate float64
-	ExactWall     time.Duration
 
 	Sampled     *stats.Sampled
 	EstCycles   stats.Metric
 	EstIPC      stats.Metric
 	EstMissRate stats.Metric
-	SampledWall time.Duration
 
 	CyclesErr float64 // |est-exact|/exact
 	IPCErr    float64
 	MissErr   float64
 
-	Speedup     float64 // exact wall / sampled wall
-	DigestMatch bool    // end-of-run MemDigest and PageTableDigest identical
+	DigestMatch bool // end-of-run MemDigest and PageTableDigest identical
 }
 
 // CompareSampled runs workload w at the given size twice on cfg — exact,
 // then under plan — and returns the comparison. Both runs build the
 // workload fresh with the same seed, so the exact run's end-of-run digests
-// are the oracle for the sampled run's architectural state. Each wall
-// time spans configuring, running and checking one build.
+// are the oracle for the sampled run's architectural state.
 func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uint64, plan gpu.SamplePlan) (*SampledRun, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -53,46 +48,57 @@ func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uin
 	if !plan.Enabled() {
 		return nil, fmt.Errorf("experiments: CompareSampled needs an enabled sample plan")
 	}
-	var outs [2]*Outcome
-	var walls [2]time.Duration
-	var mem, pt [2]uint64
-	for i, p := range []gpu.SamplePlan{{}, plan} {
-		label := [2]string{"exact", "sampled"}[i]
-		wl, err := workloads.Build(w, size, cfg.PageShift, seed)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		outs[i], err = Run(context.Background(), Sim{Workload: wl, Config: cfg, Sampling: p})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", w, label, err)
-		}
-		walls[i] = time.Since(start)
-		mem[i] = ref.MemDigest(wl.AS)
-		pt[i] = ref.PageTableDigest(wl.AS.Mem, wl.AS.PT.CR3())
+	exact, err := runDigested(w, size, cfg, seed, gpu.SamplePlan{})
+	if err != nil {
+		return nil, fmt.Errorf("%s exact: %w", w, err)
 	}
+	sampled, err := runDigested(w, size, cfg, seed, plan)
+	if err != nil {
+		return nil, fmt.Errorf("%s sampled: %w", w, err)
+	}
+	return compareSampled(w, exact, sampled), nil
+}
 
-	exact, smp := outs[0], outs[1].Sampled
+// digestedRun is one run's outcome plus the end-of-run digests of its
+// memory image and page tables.
+type digestedRun struct {
+	*Outcome
+	mem, pt uint64
+}
+
+// runDigested builds workload w, runs it on cfg under plan (the zero plan
+// runs exact) and digests the architectural state it leaves.
+func runDigested(w string, size workloads.Size, cfg config.Hardware, seed uint64, plan gpu.SamplePlan) (digestedRun, error) {
+	wl, err := workloads.Build(w, size, cfg.PageShift, seed)
+	if err != nil {
+		return digestedRun{}, err
+	}
+	out, err := Run(context.Background(), Sim{Workload: wl, Config: cfg, Sampling: plan})
+	if err != nil {
+		return digestedRun{}, err
+	}
+	return digestedRun{out, ref.MemDigest(wl.AS), ref.PageTableDigest(wl.AS.Mem, wl.AS.PT.CR3())}, nil
+}
+
+// compareSampled scores a sampled run of workload w against its exact
+// twin.
+func compareSampled(w string, exact, sampled digestedRun) *SampledRun {
+	smp := sampled.Sampled
 	r := &SampledRun{
 		Workload:      w,
 		ExactCycles:   exact.Cycles,
 		ExactIPC:      float64(exact.Stats.Instructions.Value()) / float64(exact.Cycles),
 		ExactMissRate: exact.Stats.TLBMissRate(),
-		ExactWall:     walls[0],
 		Sampled:       smp,
 		EstCycles:     smp.EstimatedCycles(),
 		EstIPC:        smp.IPC(),
 		EstMissRate:   smp.TLBMissRate(),
-		SampledWall:   walls[1],
-		DigestMatch:   mem[0] == mem[1] && pt[0] == pt[1],
+		DigestMatch:   exact.mem == sampled.mem && exact.pt == sampled.pt,
 	}
 	r.CyclesErr = r.EstCycles.RelErr(float64(r.ExactCycles))
 	r.IPCErr = r.EstIPC.RelErr(r.ExactIPC)
 	r.MissErr = r.EstMissRate.RelErr(r.ExactMissRate)
-	if r.SampledWall > 0 {
-		r.Speedup = float64(r.ExactWall) / float64(r.SampledWall)
-	}
-	return r, nil
+	return r
 }
 
 // SampledReport renders the exact-vs-sampled validation table for the
@@ -100,8 +106,8 @@ func CompareSampled(w string, size workloads.Size, cfg config.Hardware, seed uin
 // workload, the exact value, the sampled estimate with its 95% CI, and the
 // relative error, for cycles, IPC, and TLB miss rate — plus the detail
 // fraction and the architectural-state digest check. Wall-clock speedup is
-// intentionally absent: it depends on the host; `gpusim -benchsampling`
-// records it.
+// intentionally absent: it depends on the host; BenchmarkSampledVsExact
+// measures it.
 func SampledReport(h *Harness, plan gpu.SamplePlan) (string, error) {
 	cfg := h.cfgWith(config.AugmentedMMU())
 	tbl := stats.NewTable("workload", "exact_cycles", "est_cycles", "cyc_err%",

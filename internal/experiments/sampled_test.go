@@ -98,3 +98,45 @@ func TestSampledReportGolden(t *testing.T) {
 		t.Errorf("sampled report drifted from golden (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s", want, wantGolden)
 	}
 }
+
+// BenchmarkSampledVsExact times the sampled-vs-exact trade on the
+// configuration of gpusim's sampled-small golden: memcached at small size
+// on 4 baseline cores with the augmented MMU, under samplePlanSmall. Each
+// iteration builds, runs and checks one workload. The sampled
+// sub-benchmark fails if fast-forward leaves memory or page tables that
+// differ from the exact run's, and reports its IPC and TLB miss-rate
+// errors against it.
+func BenchmarkSampledVsExact(b *testing.B) {
+	cfg := config.Baseline()
+	cfg.NumCores = 4
+	cfg.MMU = config.AugmentedMMU()
+	run := func(b *testing.B, plan gpu.SamplePlan) digestedRun {
+		r, err := runDigested("memcached", workloads.SizeSmall, cfg, 1, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	var exact digestedRun
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			exact = run(b, gpu.SamplePlan{})
+		}
+	})
+	b.Run("sampled", func(b *testing.B) {
+		var sampled digestedRun
+		for i := 0; i < b.N; i++ {
+			sampled = run(b, samplePlanSmall)
+		}
+		b.StopTimer()
+		if exact.Outcome == nil { // -bench filtered out the exact sub-benchmark
+			exact = run(b, gpu.SamplePlan{})
+		}
+		r := compareSampled("memcached", exact, sampled)
+		if !r.DigestMatch {
+			b.Fatal("end-of-run memory/page-table digests differ from the exact run")
+		}
+		b.ReportMetric(r.IPCErr, "ipc_err")
+		b.ReportMetric(r.MissErr, "missrate_err")
+	})
+}

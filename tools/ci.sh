@@ -56,12 +56,14 @@ go test -run 'TestExecMemSteadyStateAllocFree|TestGatedSleepAllocFree' ./interna
 go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree' ./internal/vm
 
 # Per-layer run benchmarks: one iteration each keeps BenchmarkRunBlocking,
-# BenchmarkRunAugmented and BenchmarkCheckpointSweep compiling and running.
-# No timing gate; the checkpoint sweep fails if a warm-started run
-# simulates different cycles than its cold twin.
+# BenchmarkRunAugmented, BenchmarkCheckpointSweep and BenchmarkSampledVsExact
+# compiling and running. No timing gate; the checkpoint sweep fails if a
+# warm-started run simulates different cycles than its cold twin, and the
+# sampled-vs-exact benchmark if fast-forward leaves different memory or
+# page tables than the exact run.
 echo "== per-layer run benchmarks (internal/gpu, internal/experiments, 1 iteration each)"
 go test -run '^$' -bench '^BenchmarkRun' -benchtime 1x ./internal/gpu
-go test -run '^$' -bench '^BenchmarkCheckpointSweep$' -benchtime 1x ./internal/experiments
+go test -run '^$' -bench '^(BenchmarkCheckpointSweep|BenchmarkSampledVsExact)$' -benchtime 1x ./internal/experiments
 
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
 # must validate; the campaign-driven figure-2 report must be byte-identical
@@ -69,26 +71,42 @@ go test -run '^$' -bench '^BenchmarkCheckpointSweep$' -benchtime 1x ./internal/e
 # committed sample request trace must replay end to end with its
 # functional check passing. gpusim's own text reports are pinned by two
 # goldens: an exact tiny run of three workloads and a small sampled run
-# whose plan really fast-forwards.
-echo "== campaign gates (validate examples; campaign == flags; trace replay; gpusim goldens)"
+# whose plan really fast-forwards. Round trip: each of those three flag
+# invocations, run with -validate, prints the campaign it spells, and that
+# campaign run through -campaign must reproduce the golden or the
+# flag-driven report byte for byte.
+echo "== campaign gates (validate examples; campaign == flags; flags -> campaign round trip; trace replay; gpusim goldens)"
 go build -o "$obs_tmp/experiments" ./cmd/experiments
 go build -o "$obs_tmp/gpusim" ./cmd/gpusim
-"$obs_tmp/gpusim" -workload bfs,memcached,pointerchase -size tiny -mmu augmented -j 2 \
-	>"$obs_tmp/gpusim.tiny.txt"
-if ! cmp -s cmd/gpusim/testdata/tiny-augmented.golden "$obs_tmp/gpusim.tiny.txt"; then
+# roundtrip CLI NAME ARGS...: run ARGS into NAME.flags.txt, print the
+# campaign they spell with -validate, run that campaign into
+# NAME.roundtrip.txt, and cmp the two reports.
+roundtrip() {
+	local cli="$1" name="$2"
+	shift 2
+	"$obs_tmp/$cli" "$@" >"$obs_tmp/$name.flags.txt"
+	"$obs_tmp/$cli" "$@" -validate >"$obs_tmp/$name.yaml"
+	"$obs_tmp/$cli" -campaign "$obs_tmp/$name.yaml" >"$obs_tmp/$name.roundtrip.txt"
+	if ! cmp -s "$obs_tmp/$name.flags.txt" "$obs_tmp/$name.roundtrip.txt"; then
+		echo "ci: FAIL $cli $*: the campaign -validate prints runs a different report" >&2
+		exit 1
+	fi
+}
+roundtrip gpusim gpusim.tiny -workload bfs,memcached,pointerchase -size tiny -mmu augmented -j 2
+if ! cmp -s cmd/gpusim/testdata/tiny-augmented.golden "$obs_tmp/gpusim.tiny.flags.txt"; then
 	echo "ci: FAIL gpusim tiny report differs from cmd/gpusim/testdata/tiny-augmented.golden" >&2
 	exit 1
 fi
-"$obs_tmp/gpusim" -workload memcached,bfs -size small -cores 4 -mmu augmented \
-	-sampleplan 1000,4000,40000 -j 2 >"$obs_tmp/gpusim.sampled.txt"
-if ! cmp -s cmd/gpusim/testdata/sampled-small.golden "$obs_tmp/gpusim.sampled.txt"; then
+roundtrip gpusim gpusim.sampled -workload memcached,bfs -size small -cores 4 -mmu augmented \
+	-sampleplan 1000,4000,40000 -j 2
+if ! cmp -s cmd/gpusim/testdata/sampled-small.golden "$obs_tmp/gpusim.sampled.flags.txt"; then
 	echo "ci: FAIL gpusim sampled report differs from cmd/gpusim/testdata/sampled-small.golden" >&2
 	exit 1
 fi
+roundtrip experiments fig2 -fig 2 -size tiny -machine small
 for f in examples/campaigns/*; do
 	"$obs_tmp/experiments" -campaign "$f" -validate >/dev/null
 done
-"$obs_tmp/experiments" -fig 2 -size tiny -machine small >"$obs_tmp/fig2.flags.txt"
 "$obs_tmp/experiments" -campaign examples/campaigns/fig2-tiny.yaml -j 3 >"$obs_tmp/fig2.campaign.txt"
 if ! cmp -s "$obs_tmp/fig2.flags.txt" "$obs_tmp/fig2.campaign.txt"; then
 	echo "ci: FAIL campaign-driven fig2 report differs from the flag-driven report" >&2
@@ -236,10 +254,13 @@ go test -race ./internal/snapshot
 # Differential fuzzing smoke (DESIGN.md section 12): each target explores
 # beyond the committed seed corpus for a short budget. Failures minimise to
 # a replayable snippet — see cmd/difftest for longer soaks.
-echo "== differential fuzz smoke (15s per target)"
+echo "== fuzz smoke (15s per target: three differential, campaign parser)"
 go test -run '^$' -fuzz '^FuzzDiffKernel$' -fuzztime 15s ./internal/difftest
 go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 15s ./internal/difftest
 go test -run '^$' -fuzz '^FuzzTLBVsWalk$' -fuzztime 15s ./internal/difftest
+# The campaign parser reads files and POST /v1/jobs documents: no input
+# may panic it, and every accepted one must emit a re-parsable fixpoint.
+go test -run '^$' -fuzz '^FuzzCampaignParse$' -fuzztime 15s ./internal/campaign
 
 # Coverage floor for the packages the invariant checker and differential
 # harness lean on hardest — translation hardware and the VM layer — plus
