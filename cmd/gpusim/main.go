@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -79,7 +80,7 @@ func main() {
 		list     = flag.Bool("list", false, "list workloads and exit")
 		asJSON   = flag.Bool("json", false, "emit statistics as JSON")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON file, loadable in Perfetto (single workload only)")
-		sampleTo = flag.String("samplefile", "", "CSV destination for -sample (default <workload>.samples.csv)")
+		sampleTo = flag.String("samplefile", "", "CSV destination for -sample (default <workload>.samples.csv, or <trace file name>.samples.csv, in the working directory)")
 		metrics  = flag.String("metrics", "", "write the labelled metrics registry to this file; '-' means stderr (single workload only)")
 		progress = flag.Bool("v", false, "log per-run completion to stderr")
 		campFile = flag.String("campaign", "", "campaign file (YAML or JSON); each flag set on the command line overrides the field it names (DESIGN.md section 13.2)")
@@ -188,7 +189,18 @@ func main() {
 			}
 			sim.Trace = traceFile
 		}
+		var sampleFile *os.File
 		if sampleEvery > 0 {
+			// Open the series file up front, so a bad destination fails
+			// before the simulation rather than after it.
+			dst := *sampleTo
+			if dst == "" {
+				dst = defaultSampleFile(name)
+			}
+			if sampleFile, err = os.Create(dst); err != nil {
+				return outcome{err: fmt.Errorf("-sample: %w", err)}
+			}
+			defer sampleFile.Close()
 			sim.Sampler = obs.NewSampler(sampleEvery, 0)
 		}
 		if *metrics != "" {
@@ -206,11 +218,7 @@ func main() {
 			return outcome{err: fmt.Errorf("%s: %w", name, err)}
 		}
 		if sim.Sampler != nil {
-			dst := *sampleTo
-			if dst == "" {
-				dst = name + ".samples.csv"
-			}
-			if err := writeSamples(sim.Sampler, dst); err != nil {
+			if err := writeSamples(sim.Sampler, sampleFile); err != nil {
 				return outcome{err: err}
 			}
 		}
@@ -288,17 +296,25 @@ func main() {
 	}
 }
 
+// defaultSampleFile names -sample's series file when -samplefile is
+// unset: <workload>.samples.csv in the working directory, where a trace
+// replay is named by its file's base name, not by its path.
+func defaultSampleFile(workload string) string {
+	if path, ok := strings.CutPrefix(workload, workloads.TracePrefix); ok {
+		workload = filepath.Base(path)
+	}
+	return workload + ".samples.csv"
+}
+
 // writeSamples persists the run's cycle-sampled time series as CSV.
-func writeSamples(smp *obs.Sampler, dst string) error {
-	f, err := os.Create(dst)
-	if err != nil {
-		return fmt.Errorf("-sample: %w", err)
-	}
+func writeSamples(smp *obs.Sampler, f *os.File) error {
 	if err := smp.WriteCSV(f); err != nil {
-		f.Close()
 		return fmt.Errorf("-sample: %w", err)
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("-sample: %w", err)
+	}
+	return nil
 }
 
 // writeMetrics dumps the labelled metrics registry; dst "-" means stderr.

@@ -32,8 +32,9 @@ func main() {
 		outVA := as.Malloc(threads * 8)
 		// ring[i] = (i * 9973) % nodes gives a full-cycle permutation
 		// with page-sized jumps.
+		w := as.Writer(ringVA)
 		for i := uint64(0); i < nodes; i++ {
-			as.Write64(ringVA+i*8, (i*9973)%nodes)
+			w.U64((i * 9973) % nodes)
 		}
 
 		prog := chaseKernel(threads, hops, nodes)

@@ -32,6 +32,8 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"strconv"
+	"strings"
 	"time"
 
 	"gpummu/internal/config"
@@ -45,6 +47,12 @@ import (
 // versions explicitly; an unknown version is a validation error, not a
 // guess.
 const APIVersion = "gpummu/v1"
+
+// maxSweepPoints bounds a sweep's cross-product. The committed example
+// campaigns expand to at most 6 points; Validate refuses anything larger
+// than this before expanding it, since POST /v1/jobs parses documents
+// from clients.
+const maxSweepPoints = 4096
 
 // Campaign is one declarative experiment campaign.
 type Campaign struct {
@@ -270,10 +278,19 @@ func (c *Campaign) Validate() error {
 			return badField(fmt.Sprintf("figures[%d]", i), id, err.Error())
 		}
 	}
+	// Size the cross-product before expanding it: a few short lines of
+	// axes can otherwise spell millions of configurations.
+	points, dims := 1, make([]string, len(c.Sweep.Axes))
 	for i, ax := range c.Sweep.Axes {
 		if len(ax.Values) == 0 {
 			return badField(fmt.Sprintf("sweep.axes[%d].values", i), ax.Values, "must list at least one value")
 		}
+		points = min(points*len(ax.Values), maxSweepPoints+1)
+		dims[i] = strconv.Itoa(len(ax.Values))
+	}
+	if points > maxSweepPoints {
+		return badField("sweep.axes", strings.Join(dims, "x"),
+			fmt.Sprintf("the cross-product must have at most %d points", maxSweepPoints))
 	}
 	if _, err := c.sweepPoints(); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,6 +69,21 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// hugeSweep is a 500-byte campaign whose four 20-value axes spell 160,000
+// configurations, each valid on its own. Validate must refuse it before
+// expanding the cross-product.
+var hugeSweep = func() string {
+	var vals []string
+	for v := 1; v <= 20; v++ {
+		vals = append(vals, strconv.Itoa(v))
+	}
+	doc := "apiVersion: gpummu/v1\nname: huge\nsweep:\n  axes:\n"
+	for _, f := range []string{"l1latency", "l2latency", "icntlatency", "dramlatency"} {
+		doc += "    - field: " + f + "\n      values: [" + strings.Join(vals, ", ") + "]\n"
+	}
+	return doc
+}()
+
 // FuzzCampaignParse feeds arbitrary bytes to Parse, the entry point of
 // campaign files and of POST /v1/jobs documents: it must never panic, and
 // every document it accepts must emit a canonical form that re-parses and
@@ -86,6 +102,7 @@ func FuzzCampaignParse(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	f.Add([]byte(hugeSweep))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Parse(data)
 		if err != nil {
@@ -130,6 +147,7 @@ func TestValidationErrors(t *testing.T) {
 		{"empty axis values", valid + "sweep:\n  axes:\n    - field: MMU.Entries\n      values: []\n", "sweep.axes[0].values"},
 		{"missing axis field", valid + "sweep:\n  axes:\n    - values: [64]\n", "sweep.axes[0].field"},
 		{"bad axis field", valid + "sweep:\n  axes:\n    - field: mmu.size\n      values: [64]\n", "sweep.axes[0]"},
+		{"sweep too large", hugeSweep, "sweep.axes"},
 		{"bad normalize", valid + "sweep:\n  normalize: maybe\n", "sweep.normalize"},
 		{"bad workers", valid + "run:\n  workers: -1\n", "run.workers"},
 		{"workers not int", valid + "run:\n  workers: many\n", "run.workers"},

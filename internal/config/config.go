@@ -5,7 +5,7 @@ package config
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // SchedulerPolicy selects the warp scheduler.
@@ -176,12 +176,31 @@ func (m MMU) AccessPenalty() int {
 // experiment executor dedupes runs by it, so it must never alias distinct
 // configurations. Keep in sync with the struct (TestHardwareKeyCoversEveryField
 // fails if a field is added but not folded in here).
-func (m MMU) Key() string {
-	return fmt.Sprintf("mmu:on=%t,e=%d,a=%d,p=%d,ideal=%t,hum=%t,ovl=%t,ptws=%t,nptw=%d,mshr=%d,stlb=%d,stlblat=%d,pwc=%d,sw=%t,swov=%d,wc=%d",
-		m.Enabled, m.Entries, m.Assoc, m.Ports, m.IdealLatency,
-		m.HitsUnderMiss, m.CacheOverlap, m.PTWSched, m.NumPTWs, m.MSHRs,
-		m.SharedTLBEntries, m.SharedTLBLatency, m.PWCEntries,
-		m.SoftwareWalks, m.SoftwareWalkOverhead, m.WalkConcurrency)
+func (m MMU) Key() string { return string(m.appendKey(nil)) }
+
+func (m MMU) appendKey(k key) key {
+	return k.bool("mmu:on=", m.Enabled).int(",e=", m.Entries).int(",a=", m.Assoc).int(",p=", m.Ports).
+		bool(",ideal=", m.IdealLatency).bool(",hum=", m.HitsUnderMiss).bool(",ovl=", m.CacheOverlap).
+		bool(",ptws=", m.PTWSched).int(",nptw=", m.NumPTWs).int(",mshr=", m.MSHRs).
+		int(",stlb=", m.SharedTLBEntries).int(",stlblat=", m.SharedTLBLatency).int(",pwc=", m.PWCEntries).
+		bool(",sw=", m.SoftwareWalks).int(",swov=", m.SoftwareWalkOverhead).int(",wc=", m.WalkConcurrency)
+}
+
+// key is a Key string under construction. Each method appends a label and
+// a value formatted as fmt's %d or %t would, without fmt's cost: campaign
+// planning builds one Key per planned run.
+type key []byte
+
+func (k key) int(label string, v int) key {
+	return strconv.AppendInt(append(k, label...), int64(v), 10)
+}
+
+func (k key) uint(label string, v uint64) key {
+	return strconv.AppendUint(append(k, label...), v, 10)
+}
+
+func (k key) bool(label string, v bool) key {
+	return strconv.AppendBool(append(k, label...), v)
 }
 
 // Scheduler configures warp scheduling and the CCWS family.
@@ -214,19 +233,20 @@ type Scheduler struct {
 
 // Key returns a canonical string covering every Scheduler field (see
 // MMU.Key for the contract).
-func (s Scheduler) Key() string {
-	var w strings.Builder
-	fmt.Fprintf(&w, "sched:pol=%d,vta=%d,vtaa=%d,lls=%d,pool=%d,decay=%d,tlbw=%d,lru=[",
-		s.Policy, s.VTAEntriesPerWarp, s.VTAAssoc, s.LLSCutoff,
-		s.ActivePool, s.DecayPeriod, s.TLBMissWeight)
+func (s Scheduler) Key() string { return string(s.appendKey(nil)) }
+
+func (s Scheduler) appendKey(k key) key {
+	k = k.uint("sched:pol=", uint64(s.Policy)).int(",vta=", s.VTAEntriesPerWarp).int(",vtaa=", s.VTAAssoc).
+		int(",lls=", s.LLSCutoff).int(",pool=", s.ActivePool).int(",decay=", s.DecayPeriod).
+		int(",tlbw=", s.TLBMissWeight)
+	k = append(k, ",lru=["...)
 	for i, d := range s.LRUDepthWeights {
 		if i > 0 {
-			w.WriteByte(' ')
+			k = append(k, ' ')
 		}
-		fmt.Fprintf(&w, "%d", d)
+		k = strconv.AppendInt(k, int64(d), 10)
 	}
-	w.WriteByte(']')
-	return w.String()
+	return append(k, ']')
 }
 
 // TBC configures thread block compaction.
@@ -244,9 +264,11 @@ type TBC struct {
 
 // Key returns a canonical string covering every TBC field (see MMU.Key for
 // the contract).
-func (t TBC) Key() string {
-	return fmt.Sprintf("tbc:mode=%d,cpm=%d,flush=%d,hist=%d",
-		t.Mode, t.CPMBits, t.CPMFlushPeriod, t.CPMHistory)
+func (t TBC) Key() string { return string(t.appendKey(nil)) }
+
+func (t TBC) appendKey(k key) key {
+	return k.uint("tbc:mode=", uint64(t.Mode)).int(",cpm=", t.CPMBits).
+		int(",flush=", t.CPMFlushPeriod).int(",hist=", t.CPMHistory)
 }
 
 // Hardware is the full machine configuration.
@@ -289,12 +311,15 @@ type Hardware struct {
 // fields are added or reordered (a reflection test enumerates the struct
 // and fails if a new field does not change the key).
 func (h Hardware) Key() string {
-	return fmt.Sprintf("hw:cores=%d,wpc=%d,ww=%d,iw=%d,l1=%d/%d/%d/%d/%d,parts=%d,l2=%d/%d/%d,icnt=%d,dram=%d/%d,pshift=%d|%s|%s|%s",
-		h.NumCores, h.WarpsPerCore, h.WarpWidth, h.IssueWidth,
-		h.L1Bytes, h.L1LineSize, h.L1Assoc, h.L1Latency, h.L1MSHRs,
-		h.NumPartitions, h.L2BytesPerPart, h.L2Assoc, h.L2Latency,
-		h.ICNTLatency, h.DRAMLatency, h.DRAMBusy, h.PageShift,
-		h.MMU.Key(), h.Sched.Key(), h.TBC.Key())
+	k := make(key, 0, 384).int("hw:cores=", h.NumCores).int(",wpc=", h.WarpsPerCore).
+		int(",ww=", h.WarpWidth).int(",iw=", h.IssueWidth).
+		int(",l1=", h.L1Bytes).int("/", h.L1LineSize).int("/", h.L1Assoc).int("/", h.L1Latency).int("/", h.L1MSHRs).
+		int(",parts=", h.NumPartitions).int(",l2=", h.L2BytesPerPart).int("/", h.L2Assoc).int("/", h.L2Latency).
+		int(",icnt=", h.ICNTLatency).int(",dram=", h.DRAMLatency).int("/", h.DRAMBusy).
+		uint(",pshift=", uint64(h.PageShift))
+	k = h.MMU.appendKey(append(k, '|'))
+	k = h.Sched.appendKey(append(k, '|'))
+	return string(h.TBC.appendKey(append(k, '|')))
 }
 
 // IssuePeriod returns the cycles one warp instruction occupies the issue

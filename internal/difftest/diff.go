@@ -34,8 +34,9 @@ func (s *Sample) build() (*vm.AddressSpace, *kernels.Launch, error) {
 	as := vm.NewAddressSpace(vm.NewPhysMem(), vm.NewFrameAllocator(1<<23), s.HW.PageShift)
 	rng := engine.NewRNG(s.Seed ^ 0xD1F7_DA7A)
 	data := as.Malloc(uint64(s.DataWords) * 8)
+	w := as.Writer(data)
 	for i := 0; i < s.DataWords; i++ {
-		as.Write64(data+uint64(i)*8, rng.Uint64())
+		w.U64(rng.Uint64())
 	}
 	threads := s.Grid * s.BlockDim
 	out := as.Malloc(uint64(threads) * outBytesPerThread)

@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // AddressSpace is a process-like virtual address space: a page table plus a
 // bump-allocated heap. Workloads build their data structures here before a
@@ -91,14 +94,100 @@ func (as *AddressSpace) Write64(va, val uint64) { as.Mem.Write64(as.translate(va
 // Read64 loads a 64-bit value from virtual address va.
 func (as *AddressSpace) Read64(va uint64) uint64 { return as.Mem.Read64(as.translate(va)) }
 
-// Write32 stores a 32-bit value at virtual address va.
-func (as *AddressSpace) Write32(va uint64, val uint32) { as.Mem.Write32(as.translate(va), val) }
-
 // Read32 loads a 32-bit value from virtual address va.
 func (as *AddressSpace) Read32(va uint64) uint32 { return as.Mem.Read32(as.translate(va)) }
 
-// WriteU8 stores one byte at virtual address va.
-func (as *AddressSpace) WriteU8(va uint64, val byte) { as.Mem.WriteU8(as.translate(va), val) }
-
 // ReadU8 loads one byte from virtual address va.
 func (as *AddressSpace) ReadU8(va uint64) byte { return as.Mem.ReadU8(as.translate(va)) }
+
+// ReadU64s loads len(dst) consecutive 64-bit values starting at va,
+// walking the page table once per 4 KB frame instead of once per value.
+// It reads exactly what that many Read64 calls would: a misaligned or
+// unmapped address panics, and a never-written frame reads as zeroes
+// without being materialised.
+func (as *AddressSpace) ReadU64s(va uint64, dst []uint64) {
+	for len(dst) > 0 {
+		if va%8 != 0 {
+			panic(fmt.Sprintf("vm: misaligned 8-byte read at va %#x", va))
+		}
+		off := va & (PageSize4K - 1)
+		n := min(len(dst), int(PageSize4K-off)/8)
+		if p := as.Mem.page(as.translate(va), false); p != nil {
+			for i := range dst[:n] {
+				dst[i] = binary.LittleEndian.Uint64(p.data[off+uint64(i)*8:])
+			}
+		} else {
+			clear(dst[:n])
+		}
+		dst, va = dst[n:], va+uint64(n)*8
+	}
+}
+
+// Writer stores consecutive little-endian values into an address space,
+// walking the page table once per 4 KB frame instead of once per value.
+// Workloads lay their datasets out through it. Every value lands exactly
+// as the single-value store would put it: a misaligned or unmapped
+// address panics, and the frame written is materialised and marked dirty.
+// A Writer keeps the page it last wrote, so, like the functional
+// interpreter's cached pages, it must not outlive a snapshot restore.
+type Writer struct {
+	as   *AddressSpace
+	va   uint64    // where the next value goes
+	page *physPage // the frame last written; nil before the first value
+}
+
+// Writer returns a Writer whose first value lands at va.
+func (as *AddressSpace) Writer(va uint64) *Writer { return &Writer{as: as, va: va} }
+
+// U64 stores one 64-bit value.
+func (w *Writer) U64(v uint64) {
+	binary.LittleEndian.PutUint64(w.frame(8), v)
+	w.va += 8
+}
+
+// U64s stores vals in order.
+func (w *Writer) U64s(vals []uint64) {
+	for len(vals) > 0 {
+		b := w.frame(8)
+		n := min(len(vals), len(b)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(b[i*8:], v)
+		}
+		vals, w.va = vals[n:], w.va+uint64(n)*8
+	}
+}
+
+// U32s stores vals in order.
+func (w *Writer) U32s(vals []uint32) {
+	for len(vals) > 0 {
+		b := w.frame(4)
+		n := min(len(vals), len(b)/4)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(b[i*4:], v)
+		}
+		vals, w.va = vals[n:], w.va+uint64(n)*4
+	}
+}
+
+// Bytes stores vals in order.
+func (w *Writer) Bytes(vals []byte) {
+	for len(vals) > 0 {
+		n := copy(w.frame(1), vals)
+		vals, w.va = vals[n:], w.va+uint64(n)
+	}
+}
+
+// frame returns the rest of the frame holding the cursor, from the cursor
+// on, for values of size bytes. An aligned value never straddles two
+// frames, so the page table is walked only when the cursor enters one.
+func (w *Writer) frame(size uint64) []byte {
+	if w.va%size != 0 {
+		panic(fmt.Sprintf("vm: misaligned %d-byte write at va %#x", size, w.va))
+	}
+	off := w.va & (PageSize4K - 1)
+	if off == 0 || w.page == nil {
+		w.page = w.as.Mem.page(w.as.translate(w.va), true)
+	}
+	w.page.dirty = true
+	return w.page.data[off:]
+}

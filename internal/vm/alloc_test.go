@@ -58,3 +58,28 @@ func TestTranslatorHitAllocFree(t *testing.T) {
 		t.Fatalf("warm Load+Store allocates %.1f objects per pair, want 0", avg)
 	}
 }
+
+// TestWriterAllocFree pins page-granular dataset writes and reads: once
+// the frames exist, a Writer over them and ReadU64s allocate nothing.
+func TestWriterAllocFree(t *testing.T) {
+	as := NewAddressSpace(NewPhysMem(), NewFrameAllocator(1<<20), PageShift4K)
+	base := as.Malloc(4 * PageSize4K)
+	u64s := make([]uint64, 3*PageSize4K/8)
+	u32s := make([]uint32, 16)
+	raw := make([]byte, 16)
+	write := func() {
+		w := as.Writer(base + 8)
+		w.U64s(u64s)
+		w.U64(1)
+		w.U32s(u32s)
+		w.Bytes(raw)
+	}
+	write() // materialise the frames
+	avg := testing.AllocsPerRun(100, func() {
+		write()
+		as.ReadU64s(base, u64s)
+	})
+	if avg != 0 {
+		t.Fatalf("warm Writer and ReadU64s allocate %.1f objects per pass, want 0", avg)
+	}
+}

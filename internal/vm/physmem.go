@@ -121,11 +121,6 @@ func (m *PhysMem) ReadU8(pa uint64) byte {
 	return p.data[pa&(PageSize4K-1)]
 }
 
-// WriteU8 stores one byte.
-func (m *PhysMem) WriteU8(pa uint64, val byte) {
-	m.page(pa, true).data[pa&(PageSize4K-1)] = val
-}
-
 // PageBytes returns a read-only view of the materialised 4 KB page holding
 // pa, or nil when the page has never been written (its contents read as
 // zeroes). Digest and diff code uses it to hash pages without a map lookup

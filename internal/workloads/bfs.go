@@ -7,7 +7,7 @@ import (
 )
 
 // levelINF marks an unvisited node in the bfs level array.
-const levelINF = int64(1) << 40
+const levelINF = 1 << 40
 
 // buildBFS reproduces Rodinia bfs: level-synchronous breadth-first search
 // over a CSR graph. One thread owns one node (warp-scattered, see
@@ -43,14 +43,14 @@ func buildBFS(env *Env) (*Workload, error) {
 	}
 
 	// Host-side BFS from node 0 to find a level with a large frontier.
-	level := make([]int64, n)
+	level := make([]uint64, n)
 	for i := range level {
 		level[i] = levelINF
 	}
 	level[0] = 0
 	frontier := []int{0}
-	curLevel := int64(0)
-	bestLevel, bestSize := int64(0), 1
+	curLevel := uint64(0)
+	bestLevel, bestSize := uint64(0), 1
 	for len(frontier) > 0 {
 		var next []int
 		for _, u := range frontier {
@@ -80,15 +80,9 @@ func buildBFS(env *Env) (*Workload, error) {
 	rowPtrVA := as.Malloc(uint64(len(rowPtr)) * 8)
 	adjVA := as.Malloc(uint64(len(adj)) * 8)
 	levelVA := as.Malloc(uint64(n) * 8)
-	for i, v := range rowPtr {
-		as.Write64(rowPtrVA+uint64(i)*8, v)
-	}
-	for i, v := range adj {
-		as.Write64(adjVA+uint64(i)*8, v)
-	}
-	for i, v := range level {
-		as.Write64(levelVA+uint64(i)*8, uint64(v))
-	}
+	as.Writer(rowPtrVA).U64s(rowPtr)
+	as.Writer(adjVA).U64s(adj)
+	as.Writer(levelVA).U64s(level)
 
 	prog := bfsKernel(n)
 	blockDim := 256
@@ -100,18 +94,19 @@ func buildBFS(env *Env) (*Workload, error) {
 	l.Params[0] = rowPtrVA
 	l.Params[1] = adjVA
 	l.Params[2] = levelVA
-	l.Params[3] = uint64(bestLevel)
+	l.Params[3] = bestLevel
 
 	check := func() error {
 		// Every neighbour of a frontier node must now be visited.
-		for u := 0; u < n; u++ {
-			lu := int64(as.Read64(levelVA + uint64(u)*8))
+		got := make([]uint64, n)
+		as.ReadU64s(levelVA, got)
+		for u, lu := range got {
 			if lu != bestLevel {
 				continue
 			}
 			for e := rowPtr[u]; e < rowPtr[u+1]; e++ {
 				v := adj[e]
-				if int64(as.Read64(levelVA+v*8)) == levelINF {
+				if got[v] == levelINF {
 					return fmt.Errorf("bfs: neighbour %d of frontier node %d left unvisited", v, u)
 				}
 			}

@@ -34,12 +34,8 @@ func buildKMeans(env *Env) (*Workload, error) {
 	ptsVA := as.Malloc(uint64(len(points)) * 4)
 	cenVA := as.Malloc(uint64(len(cents)) * 4)
 	asgVA := as.Malloc(uint64(p) * 8)
-	for i, v := range points {
-		as.Write32(ptsVA+uint64(i)*4, v)
-	}
-	for i, v := range cents {
-		as.Write32(cenVA+uint64(i)*4, v)
-	}
+	as.Writer(ptsVA).U32s(points)
+	as.Writer(cenVA).U32s(cents)
 
 	prog := kmeansKernel(p, f, k)
 	blockDim := 256

@@ -5,6 +5,7 @@ import (
 
 	"gpummu/internal/engine"
 	"gpummu/internal/kernels"
+	"gpummu/internal/vm"
 )
 
 // buildMemcached reproduces the paper's key-value store workload: GET
@@ -18,44 +19,74 @@ func buildMemcached(env *Env) (*Workload, error) {
 	requests := env.scale(2<<10, 64<<10, 256<<10, 1<<20)
 	perThread := 2
 	keys := env.scale(8<<10, 128<<10, 512<<10, 2<<20)
-	buckets := nextPow2(keys / 2)
 
-	// Entry layout: key(8) | next(8) | value(8) | pad(8) = 32 bytes.
-	const entrySize = 32
-	heads := make([]uint64, buckets)
-	type ent struct{ key, next, value uint64 }
-	entries := make([]ent, 1, keys+1) // entry 0 = nil sentinel
+	t := newKVTable(nextPow2(keys/2), keys)
 	for k := 0; k < keys; k++ {
 		key := env.RNG.Uint64() | 1
-		h := mixHash(key) & uint64(buckets-1)
-		entries = append(entries, ent{key: key, next: heads[h], value: key ^ 0xDEAD})
-		heads[h] = uint64(len(entries) - 1)
+		t.insert(key, key^0xDEAD)
 	}
 
 	// Zipf-skewed request stream over the inserted keys.
-	zipf := engine.NewZipf(env.RNG, len(entries)-1, 1.1)
+	zipf := engine.NewZipf(env.RNG, len(t.entries)-1, 1.1)
 	reqs := make([]uint64, requests*perThread)
 	for i := range reqs {
-		reqs[i] = entries[1+zipf.Draw()].key
+		reqs[i] = t.entries[1+zipf.Draw()].key
 	}
+	return t.probe("memcached", env.AS, reqs, perThread), nil
+}
 
-	as := env.AS
-	headsVA := as.Malloc(uint64(buckets) * 8)
-	entVA := as.Malloc(uint64(len(entries)) * entrySize)
+// kvTable is the open-chaining hash table the key-value probe kernel
+// walks. Bucket heads index 32-byte entries laid out key|next|value|pad;
+// entry 0 is the nil sentinel that ends every chain.
+type kvTable struct {
+	heads   []uint64
+	entries []kvEntry
+}
+
+type kvEntry struct{ key, next, value uint64 }
+
+const kvEntrySize = 32
+
+// newKVTable returns an empty table of buckets (a power of two) chains
+// with room for capacity entries.
+func newKVTable(buckets, capacity int) *kvTable {
+	return &kvTable{heads: make([]uint64, buckets), entries: make([]kvEntry, 1, capacity+1)}
+}
+
+func (t *kvTable) bucket(key uint64) uint64 { return mixHash(key) & uint64(len(t.heads)-1) }
+
+// insert pushes a new entry onto the front of key's chain.
+func (t *kvTable) insert(key, value uint64) {
+	h := t.bucket(key)
+	t.entries = append(t.entries, kvEntry{key: key, next: t.heads[h], value: value})
+	t.heads[h] = uint64(len(t.entries) - 1)
+}
+
+// lookup returns what a probe of key finds: its value, or 0 on a miss.
+func (t *kvTable) lookup(key uint64) uint64 {
+	for e := t.heads[t.bucket(key)]; e != 0; e = t.entries[e].next {
+		if t.entries[e].key == key {
+			return t.entries[e].value
+		}
+	}
+	return 0
+}
+
+// probe lays the table and the request keys out in as and returns the
+// probe workload: each of len(reqs)/perThread threads sums the values its
+// perThread keys find, reading key g of slot r at reqs[r+g*requests].
+func (t *kvTable) probe(name string, as *vm.AddressSpace, reqs []uint64, perThread int) *Workload {
+	requests := len(reqs) / perThread
+	headsVA := as.Malloc(uint64(len(t.heads)) * 8)
+	entVA := as.Malloc(uint64(len(t.entries)) * kvEntrySize)
 	reqVA := as.Malloc(uint64(len(reqs)) * 8)
 	outVA := as.Malloc(uint64(requests) * 8)
-	for i, h := range heads {
-		as.Write64(headsVA+uint64(i)*8, h)
+	as.Writer(headsVA).U64s(t.heads)
+	w := as.Writer(entVA)
+	for _, e := range t.entries {
+		w.U64s([]uint64{e.key, e.next, e.value, 0})
 	}
-	for i, e := range entries {
-		base := entVA + uint64(i)*entrySize
-		as.Write64(base, e.key)
-		as.Write64(base+8, e.next)
-		as.Write64(base+16, e.value)
-	}
-	for i, k := range reqs {
-		as.Write64(reqVA+uint64(i)*8, k)
-	}
+	as.Writer(reqVA).U64s(reqs)
 
 	blockDim := 256
 	l := &kernels.Launch{Program: memcachedKernel(requests, perThread), Grid: gridFor(requests, blockDim), BlockDim: blockDim}
@@ -63,31 +94,22 @@ func buildMemcached(env *Env) (*Workload, error) {
 	l.Params[1] = entVA
 	l.Params[2] = reqVA
 	l.Params[3] = outVA
-	l.Params[4] = uint64(buckets - 1) // mask
+	l.Params[4] = uint64(len(t.heads) - 1) // mask
 
-	lookup := func(key uint64) uint64 {
-		h := mixHash(key) & uint64(buckets-1)
-		for e := heads[h]; e != 0; e = entries[e].next {
-			if entries[e].key == key {
-				return entries[e].value
-			}
-		}
-		return 0
-	}
 	check := func() error {
-		for _, t := range []int{0, requests / 2, requests - 1} {
-			r := scatteredIndex(t, requests, 1)
+		for _, tid := range []int{0, requests / 2, requests - 1} {
+			r := scatteredIndex(tid, requests, 1)
 			var want uint64
 			for g := 0; g < perThread; g++ {
-				want += lookup(reqs[r+g*requests])
+				want += t.lookup(reqs[r+g*requests])
 			}
 			if got := as.Read64(outVA + uint64(r)*8); got != want {
-				return fmt.Errorf("memcached: slot %d sum %d, want %d", r, got, want)
+				return fmt.Errorf("%s: slot %d sum %d, want %d", name, r, got, want)
 			}
 		}
 		return nil
 	}
-	return &Workload{AS: as, Launch: l, Check: check}, nil
+	return &Workload{AS: as, Launch: l, Check: check}
 }
 
 // mixHash is the integer hash the kernel implements (xorshift-multiply).

@@ -20,7 +20,7 @@ func buildMummer(env *Env) (*Workload, error) {
 
 	// Build a random 4-ary trie by inserting random strings until the node
 	// budget is exhausted. Node layout: 4 children × 8 bytes.
-	type trieNode struct{ kids [4]int64 }
+	type trieNode struct{ kids [4]uint64 }
 	trie := make([]trieNode, 1, nodes)
 	for len(trie) < nodes {
 		cur := 0
@@ -28,7 +28,7 @@ func buildMummer(env *Env) (*Workload, error) {
 			c := env.RNG.Intn(4)
 			if trie[cur].kids[c] == 0 {
 				trie = append(trie, trieNode{})
-				trie[cur].kids[c] = int64(len(trie) - 1)
+				trie[cur].kids[c] = uint64(len(trie) - 1)
 			}
 			cur = int(trie[cur].kids[c])
 		}
@@ -43,14 +43,11 @@ func buildMummer(env *Env) (*Workload, error) {
 	trieVA := as.Malloc(uint64(len(trie)) * 32)
 	qVA := as.Malloc(uint64(len(qs)))
 	outVA := as.Malloc(uint64(queries) * 8)
-	for i, n := range trie {
-		for c := 0; c < 4; c++ {
-			as.Write64(trieVA+uint64(i)*32+uint64(c)*8, uint64(n.kids[c]))
-		}
+	w := as.Writer(trieVA)
+	for _, n := range trie {
+		w.U64s(n.kids[:])
 	}
-	for i, v := range qs {
-		as.WriteU8(qVA+uint64(i), v)
-	}
+	as.Writer(qVA).Bytes(qs)
 
 	blockDim := 256
 	l := &kernels.Launch{Program: mummerKernel(queries, qlen), Grid: gridFor(queries, blockDim), BlockDim: blockDim}
@@ -59,16 +56,15 @@ func buildMummer(env *Env) (*Workload, error) {
 	l.Params[2] = outVA
 
 	match := func(q int) uint64 {
-		cur := int64(0)
+		cur := uint64(0)
 		for d := 0; d < qlen; d++ {
-			c := qs[q*qlen+d]
-			next := trie[cur].kids[c]
+			next := trie[cur].kids[qs[q*qlen+d]]
 			if next == 0 {
 				break
 			}
 			cur = next
 		}
-		return uint64(cur)
+		return cur
 	}
 	check := func() error {
 		for _, t := range []int{0, queries / 2, queries - 1} {

@@ -26,12 +26,8 @@ func buildPathfinder(env *Env) (*Workload, error) {
 	dataVA := as.Malloc(uint64(len(data)) * 4)
 	// Two cost buffers, alternating per row.
 	costVA := [2]uint64{as.Malloc(uint64(cols) * 4), as.Malloc(uint64(cols) * 4)}
-	for i, v := range data {
-		as.Write32(dataVA+uint64(i)*4, v)
-	}
-	for c := 0; c < cols; c++ {
-		as.Write32(costVA[0]+uint64(c)*4, data[c])
-	}
+	as.Writer(dataVA).U32s(data)
+	as.Writer(costVA[0]).U32s(data[:cols])
 
 	blockDim := 256
 	l := &kernels.Launch{Program: pathfinderKernel(cols, rows), Grid: gridFor(cols, blockDim), BlockDim: blockDim}

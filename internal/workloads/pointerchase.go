@@ -31,9 +31,7 @@ func buildPointerChase(env *Env) (*Workload, error) {
 	as := env.AS
 	ringVA := as.Malloc(uint64(nodes) * 8)
 	outVA := as.Malloc(uint64(threads) * 8)
-	for i, v := range ring {
-		as.Write64(ringVA+uint64(i)*8, v)
-	}
+	as.Writer(ringVA).U64s(ring)
 
 	blockDim := 256
 	l := &kernels.Launch{Program: chaseKernel(), Grid: gridFor(threads, blockDim), BlockDim: blockDim}

@@ -32,12 +32,8 @@ func buildStreamcluster(env *Env) (*Workload, error) {
 	ptsVA := as.Malloc(uint64(len(points)) * 4)
 	cidxVA := as.Malloc(uint64(k) * 8)
 	costVA := as.Malloc(uint64(p) * 8)
-	for i, v := range points {
-		as.Write32(ptsVA+uint64(i)*4, v)
-	}
-	for i, v := range cidx {
-		as.Write64(cidxVA+uint64(i)*8, v)
-	}
+	as.Writer(ptsVA).U32s(points)
+	as.Writer(cidxVA).U64s(cidx)
 
 	blockDim := 256
 	l := &kernels.Launch{Program: streamclusterKernel(p, f, k), Grid: gridFor(p, blockDim), BlockDim: blockDim}

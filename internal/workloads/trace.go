@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-
-	"gpummu/internal/kernels"
 )
 
 // TracePrefix is the workload-name scheme for request-trace replays:
@@ -221,74 +219,12 @@ func buildTraceReplay(env *Env, recs []traceRecord) (*Workload, error) {
 
 	// Bucket chains sized like the synthetic memcached table: about two
 	// entries per bucket keeps chains short but non-trivial.
-	nb := len(order) / 2
-	if nb < 2 {
-		nb = 2
-	}
-	buckets := nextPow2(nb)
-
-	const entrySize = 32 // key(8) | next(8) | value(8) | pad(8)
-	heads := make([]uint64, buckets)
-	type ent struct{ key, next, value uint64 }
-	entries := make([]ent, 1, len(order)+1) // entry 0 = nil sentinel
+	t := newKVTable(nextPow2(max(len(order)/2, 2)), len(order))
 	for _, k := range order {
-		v, ok := values[k]
-		if !ok {
-			continue // set then deleted
+		if v, ok := values[k]; ok { // a key set and then deleted has no entry
+			t.insert(k, v)
 		}
-		h := mixHash(k) & uint64(buckets-1)
-		entries = append(entries, ent{key: k, next: heads[h], value: v})
-		heads[h] = uint64(len(entries) - 1)
 	}
-
-	as := env.AS
-	headsVA := as.Malloc(uint64(buckets) * 8)
-	entVA := as.Malloc(uint64(len(entries)) * entrySize)
-	reqVA := as.Malloc(uint64(len(probes)) * 8)
-	outVA := as.Malloc(uint64(requests) * 8)
-	for i, h := range heads {
-		as.Write64(headsVA+uint64(i)*8, h)
-	}
-	for i, e := range entries {
-		base := entVA + uint64(i)*entrySize
-		as.Write64(base, e.key)
-		as.Write64(base+8, e.next)
-		as.Write64(base+16, e.value)
-	}
-	for i, k := range probes {
-		as.Write64(reqVA+uint64(i)*8, k)
-	}
-
-	blockDim := 256
-	const perThread = 1 // the trace already fixes each request's key
-	l := &kernels.Launch{
-		Program:  memcachedKernel(requests, perThread),
-		Grid:     gridFor(requests, blockDim),
-		BlockDim: blockDim,
-	}
-	l.Params[0] = headsVA
-	l.Params[1] = entVA
-	l.Params[2] = reqVA
-	l.Params[3] = outVA
-	l.Params[4] = uint64(buckets - 1) // mask
-
-	lookup := func(key uint64) uint64 {
-		h := mixHash(key) & uint64(buckets-1)
-		for e := heads[h]; e != 0; e = entries[e].next {
-			if entries[e].key == key {
-				return entries[e].value
-			}
-		}
-		return 0
-	}
-	check := func() error {
-		for _, t := range []int{0, requests / 2, requests - 1} {
-			r := scatteredIndex(t, requests, 1)
-			if got, want := as.Read64(outVA+uint64(r)*8), lookup(probes[r]); got != want {
-				return fmt.Errorf("trace replay: slot %d got %d, want %d", r, got, want)
-			}
-		}
-		return nil
-	}
-	return &Workload{AS: as, Launch: l, Check: check}, nil
+	// The trace already fixes each request's key: one probe per thread.
+	return t.probe("trace replay", env.AS, probes, 1), nil
 }

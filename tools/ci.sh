@@ -53,16 +53,17 @@ fi
 
 echo "== zero-alloc warm path with observability off"
 go test -run 'TestExecMemSteadyStateAllocFree|TestGatedSleepAllocFree' ./internal/gpu
-go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree' ./internal/vm
+go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree|TestWriterAllocFree' ./internal/vm
 
-# Per-layer run benchmarks: one iteration each keeps BenchmarkRunBlocking,
-# BenchmarkRunAugmented, BenchmarkCheckpointSweep and BenchmarkSampledVsExact
-# compiling and running. No timing gate; the checkpoint sweep fails if a
+# Per-layer benchmarks: one iteration each keeps BenchmarkRunBlocking,
+# BenchmarkRunAugmented, BenchmarkBuild, BenchmarkCheckpointSweep and
+# BenchmarkSampledVsExact compiling and running. No timing gate; the checkpoint sweep fails if a
 # warm-started run simulates different cycles than its cold twin, and the
 # sampled-vs-exact benchmark if fast-forward leaves different memory or
 # page tables than the exact run.
-echo "== per-layer run benchmarks (internal/gpu, internal/experiments, 1 iteration each)"
+echo "== per-layer benchmarks (internal/gpu, internal/workloads, internal/experiments, 1 iteration each)"
 go test -run '^$' -bench '^BenchmarkRun' -benchtime 1x ./internal/gpu
+go test -run '^$' -bench '^BenchmarkBuild$' -benchtime 1x ./internal/workloads
 go test -run '^$' -bench '^(BenchmarkCheckpointSweep|BenchmarkSampledVsExact)$' -benchtime 1x ./internal/experiments
 
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
@@ -116,6 +117,15 @@ if ! "$obs_tmp/gpusim" -campaign examples/campaigns/trace-replay.yaml | grep -q 
 	echo "ci: FAIL trace-replay campaign functional check" >&2
 	exit 1
 fi
+# -sample on a trace replay names its default series file after the trace
+# file and writes it to the working directory.
+rm -f wiki_requests.csv.samples.csv
+"$obs_tmp/gpusim" -campaign examples/campaigns/trace-replay.yaml -sample 100 >/dev/null
+if ! head -1 wiki_requests.csv.samples.csv | grep -q '^cycle,instructions,'; then
+	echo "ci: FAIL gpusim -sample on a trace replay wrote no wiki_requests.csv.samples.csv" >&2
+	exit 1
+fi
+rm -f wiki_requests.csv.samples.csv
 
 # Checkpoint equivalence gate (DESIGN.md section 14): the same campaign run
 # with -checkpoint (runs restored from per-workload post-build snapshots)
