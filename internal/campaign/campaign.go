@@ -198,8 +198,9 @@ func Parse(data []byte) (*Campaign, error) {
 // submission fields — the form the job server's POST /v1/jobs accepts when
 // a client submits (workloads, machine) directly instead of a campaign
 // document. Zero-valued arguments take the documented campaign defaults
-// (preset "baseline", the paper's six workloads, size "small", seed 1).
-// The returned campaign declares no figures or sweep: it runs just its
+// (preset "baseline", the paper's six workloads, size "small", seed 1,
+// sweep.normalize true, as Parse gives a document that omits it).
+// The returned campaign declares no figures or sweep axes: it runs just its
 // workload set, exactly like a gpusim invocation.
 func NewAdhoc(name string, workloadNames []string, size string, seed uint64, preset string, set map[string]any, run RunOptions) (*Campaign, error) {
 	if name == "" {
@@ -210,6 +211,7 @@ func NewAdhoc(name string, workloadNames []string, size string, seed uint64, pre
 		Name:       name,
 		Machine:    Machine{Preset: preset, Set: set},
 		Workloads:  WorkloadSet{Names: workloadNames, Size: size, Seed: seed},
+		Sweep:      Sweep{Normalize: true},
 		Run:        run,
 	}
 	c.applyDefaults()

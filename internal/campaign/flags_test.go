@@ -53,8 +53,9 @@ func gpusimBase(t *testing.T) *Campaign {
 // TestApplyFlagsMachine pins every machine-flag spelling to the config
 // the CLIs built from it before the mapping moved here (apart from -mmu
 // ideal, which no longer loses its 512 entries to -entries' default), and
-// checks that the campaign ApplyFlags leaves spells that same machine
-// after an Emit/Parse round trip.
+// checks that the campaign ApplyFlags leaves, which -validate prints,
+// re-parses to itself, with the sweep.normalize default a parsed file
+// gets, and spells that same machine.
 func TestApplyFlagsMachine(t *testing.T) {
 	nonblocking := config.NaiveMMU(4)
 	nonblocking.HitsUnderMiss, nonblocking.CacheOverlap = true, true
@@ -128,6 +129,9 @@ func TestApplyFlagsMachine(t *testing.T) {
 			again, err := Parse(c.Emit())
 			if err != nil {
 				t.Fatalf("emitted campaign does not parse: %v\n%s", err, c.Emit())
+			}
+			if !bytes.Equal(again.Emit(), c.Emit()) || !again.Sweep.Normalize {
+				t.Errorf("emitted campaign does not re-parse to itself with normalize: true:\n%s", c.Emit())
 			}
 			if hw, _ := again.MachineConfig(); hw.Key() != want.Key() {
 				t.Errorf("emitted campaign spells a different machine:\n%s", c.Emit())

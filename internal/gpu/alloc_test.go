@@ -136,45 +136,63 @@ func TestExecMemSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestGatedSleepAllocFree pins the blocking-MMU idle path: a core whose
-// memory instruction is refused by the MMU gate records its issue attempts
-// once, then sleeps until the walk completes, replaying those attempts at
-// every skipped step. With observability off the gated tick and the replay
-// perform zero heap allocations once warm.
+// TestGatedSleepAllocFree pins the blocking-MMU idle path. A core whose
+// ready warp's memory instruction the MMU gate refuses records nothing for
+// the refused attempt, sleeps without ticking until its first outstanding
+// walk completes, and wakes there. With observability off the gated tick
+// and the sleep perform zero heap allocations once warm.
 func TestGatedSleepAllocFree(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.NaiveMMU(3)
 	c, _, _ := benchCore(t, cfg, 64) // two warps, 32 pages each
 	gateAt := engine.Cycle(0)
-	for i := 0; i < 100 && len(c.gated) == 0; i++ {
-		_, next := c.tick(gateAt)
-		c.commitData()
-		if len(c.gated) == 0 {
-			gateAt = next
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("the memory gate never refused a ready warp")
 		}
+		issued := c.st.Instructions.Value()
+		next := c.tick(gateAt)
+		c.commitData()
+		if c.st.Instructions.Value() == issued && !c.mmu.CanAcceptMemOp(gateAt) && readyWarp(c, gateAt) {
+			break
+		}
+		gateAt = next
 	}
-	const sleep = 4
-	if len(c.gated) == 0 || c.wakeAt <= gateAt+sleep {
-		t.Fatalf("no gated sleep: gated=%d at cycle %d, wakeAt=%d", len(c.gated), gateAt, c.wakeAt)
+	wake := c.mmu.NextEvent(gateAt)
+	if c.wakeAt != wake || wake <= gateAt+1 {
+		t.Fatalf("gated tick at cycle %d sleeps until %d, want the first walk completion %d", gateAt, c.wakeAt, wake)
 	}
 	lanes := c.st.ActiveLanes.Count()
 	runOnce := func() {
 		c.wakeAt = 0 // force the gated tick to run again
 		c.cycle(gateAt)
-		for k := engine.Cycle(1); k <= sleep; k++ {
-			c.cycle(gateAt + k)
-			if c.tkKind != tkSkipped {
-				t.Fatalf("cycle %d: gated core ticked before its walk completed", gateAt+k)
+		for now := gateAt + 1; now < wake; now++ {
+			c.cycle(now)
+			if c.tkKind != tkSkipped || c.tkEv != wake {
+				t.Fatalf("cycle %d: gated core ticked before its first walk completed at %d", now, wake)
 			}
 		}
 	}
 	runOnce()
-	if got, want := c.st.ActiveLanes.Count()-lanes, uint64((1+sleep)*len(c.gated)); got != want {
-		t.Fatalf("gated tick + %d skipped steps observed %d issue attempts, want %d", sleep, got, want)
+	if got := c.st.ActiveLanes.Count(); got != lanes {
+		t.Fatalf("gated ticks observed %d ActiveLanes samples, want none", got-lanes)
 	}
 	if avg := testing.AllocsPerRun(200, runOnce); avg != 0 {
 		t.Fatalf("gated tick + sleep allocates %.2f objects per run, want 0", avg)
 	}
+	if c.cycle(wake); c.tkKind != tkTicked {
+		t.Fatalf("gated core did not tick when its first walk completed at %d", wake)
+	}
+}
+
+// readyWarp reports whether any of c's live warps may issue at now.
+func readyWarp(c *Core, now engine.Cycle) bool {
+	for _, w := range c.warpBuf {
+		if w.state == WReady && w.readyAt <= now {
+			return true
+		}
+	}
+	return false
 }
 
 // BenchmarkRunBlocking times one exact run of mummergpu/tiny on the small
@@ -183,7 +201,17 @@ func TestGatedSleepAllocFree(t *testing.T) {
 func BenchmarkRunBlocking(b *testing.B) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.NaiveMMU(3)
-	benchRun(b, "mummergpu", cfg)
+	benchRun(b, "mummergpu", workloads.SizeTiny, cfg)
+}
+
+// BenchmarkRunGated times one exact run of mummergpu/small on the 30-core
+// baseline machine behind the blocking naive 3-port MMU: the benchmark's
+// exact-blocking case, where at any moment most cores sleep behind the
+// memory gate.
+func BenchmarkRunGated(b *testing.B) {
+	cfg := config.Baseline()
+	cfg.MMU = config.NaiveMMU(3)
+	benchRun(b, "mummergpu", workloads.SizeSmall, cfg)
 }
 
 // BenchmarkRunAugmented times one exact run of kmeans/tiny on the small
@@ -192,17 +220,17 @@ func BenchmarkRunBlocking(b *testing.B) {
 func BenchmarkRunAugmented(b *testing.B) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.AugmentedMMU()
-	benchRun(b, "kmeans", cfg)
+	benchRun(b, "kmeans", workloads.SizeTiny, cfg)
 }
 
-// benchRun times exact runs of workload/tiny on cfg. The workload is
+// benchRun times exact runs of workload at size on cfg. The workload is
 // rebuilt outside the timer for every iteration, so ns/op and allocs/op
 // cover GPU construction and Run only.
-func benchRun(b *testing.B, workload string, cfg config.Hardware) {
+func benchRun(b *testing.B, workload string, size workloads.Size, cfg config.Hardware) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w, err := workloads.Build(workload, workloads.SizeTiny, cfg.PageShift, 7)
+		w, err := workloads.Build(workload, size, cfg.PageShift, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

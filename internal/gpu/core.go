@@ -13,7 +13,7 @@ import (
 // aggregation of GPU.Run's step.
 const (
 	tkBlockless = int8(iota) // no resident blocks; nothing to do
-	tkSkipped                // event fast-forward emulated the tick
+	tkSkipped                // the core slept through the step
 	tkTicked                 // a real tick ran; its data pass must follow
 )
 
@@ -44,25 +44,18 @@ type Core struct {
 	lastIssued *Warp
 	nextIssue  engine.Cycle // issue stage free at this cycle
 
-	// wakeAt is the earliest cycle at which a real tick can do anything the
-	// last real tick could not: the issue stage freeing (after an issue) or
-	// the earliest warp/walk event (after a no-issue tick, including one
-	// blocked by the MMU memory gate, whose gate cannot open before its
-	// first outstanding walk completes). While now < wakeAt the core's state
-	// is frozen — warps only change through the core's own ticks — so Run
-	// skips the full tick and instead emulates it: a cheap warp scan bounded
-	// by sleepCap yields its return value, and the gated issue attempts it
-	// would repeat are replayed from gated (see DESIGN.md "Performance
-	// model" for the exactness argument). CCWS-family schedulers decay
-	// their locality scores on a wall-clock cadence, which makes their
-	// behaviour tick-cadence sensitive — those cores set skippable=false
-	// and are ticked every global step, exactly as before.
+	// wakeAt is the earliest cycle at which a tick can do anything the
+	// last tick could not: the issue stage freeing (after an issue) or the
+	// earliest warp or walk event (after a tick that issued nothing,
+	// including one the MMU memory gate refused, which cannot open before
+	// the core's first outstanding walk completes). Until then the core's
+	// state is frozen, since warps only change through the core's own
+	// ticks, so a skippable core sleeps: its turn does nothing and its next
+	// event is wakeAt (DESIGN.md §10.1). CCWS-family schedulers decay their
+	// locality scores on the cycles their core ticks, so those cores clear
+	// skippable and tick at every global step.
 	wakeAt    engine.Cycle
-	sleepCap  engine.Cycle
 	skippable bool
-	// gated lists, in scheduler order, the issue attempts the last real tick
-	// made behind the memory gate; empty unless that tick issued nothing.
-	gated []issueAttempt
 
 	// Per-core scratch buffers, reused across instructions so steady-state
 	// execution performs no heap allocation. Owned by this core only; never
@@ -82,9 +75,8 @@ type Core struct {
 	pend pendMem
 
 	// cycle's outcome, consumed by the data pass and the aggregation.
-	tkKind   int8
-	tkIssued bool
-	tkEv     engine.Cycle
+	tkKind int8
+	tkEv   engine.Cycle
 }
 
 func newCore(id int, g *GPU) *Core {
@@ -110,7 +102,6 @@ func newCore(id int, g *GPU) *Core {
 	c.skippable = !(c.sched.ccwsFamily() && cfg.Sched.DecayPeriod > 0)
 	c.scratch.words = (cfg.WarpsPerCore + 63) / 64
 	c.warpBuf = make([]*Warp, 0, cfg.WarpsPerCore)
-	c.gated = make([]issueAttempt, 0, cfg.WarpsPerCore)
 	return c
 }
 
@@ -120,8 +111,6 @@ func (c *Core) reset() {
 	c.lastIssued = nil
 	c.nextIssue = 0
 	c.wakeAt = 0
-	c.sleepCap = 0
-	c.gated = c.gated[:0]
 	c.liveDirty = true
 	c.pend = pendMem{}
 	c.l1.Flush()
@@ -226,8 +215,8 @@ func (c *Core) liveWarps(dst []*Warp) []*Warp {
 }
 
 // cycle runs the core's turn in the tick pass of a global step at now: a
-// real tick, or its emulation while the core sleeps. It records the
-// outcome for the data pass and the aggregation.
+// real tick, unless the core sleeps. It records the outcome for the data
+// pass and the aggregation.
 func (c *Core) cycle(now engine.Cycle) {
 	if len(c.blocks) == 0 {
 		// A blockless core can only regain blocks through its own
@@ -236,55 +225,18 @@ func (c *Core) cycle(now engine.Cycle) {
 		return
 	}
 	if c.skippable && now < c.wakeAt {
-		// The core's warp set is frozen until wakeAt, so a real tick would
-		// only repeat the last tick's gated issue attempts; replay those and
-		// emulate its return value with a bounded warp scan (the "hint" the
-		// pristine loop produced) instead of running maintain/order/step.
-		// See DESIGN.md "Performance model" for the exactness argument.
-		// The scan's result stands until the clock reaches it, so a core
-		// skipped at the previous step rescans only once it has.
-		ev, anyWarp := c.tkEv, true
-		if c.tkKind != tkSkipped || now >= ev {
-			ev, anyWarp = c.sleepCap, false
-			for _, b := range c.blocks {
-				for _, w := range b.warps {
-					if w.state == WDone {
-						continue
-					}
-					anyWarp = true
-					if w.state == WReady && w.readyAt > now && w.readyAt < ev {
-						ev = w.readyAt
-					}
-				}
-			}
-		}
-		if anyWarp {
-			for _, a := range c.gated {
-				c.attempt(now, a)
-			}
-			c.tkKind = tkSkipped
-			c.tkEv = ev
-			return
-		}
-		// All warps drained with blocks still live: TBC bookkeeping is
-		// pending, which only a real tick's maintain can run.
+		c.tkKind, c.tkEv = tkSkipped, c.wakeAt
+		return
 	}
-	issued, ev := c.tick(now)
-	c.tkKind = tkTicked
-	c.tkIssued = issued
-	c.tkEv = ev
+	c.tkKind, c.tkEv = tkTicked, c.tick(now)
 }
 
-// tick issues up to IssueWidth ready warps in scheduler order. Everything
-// an issued instruction does runs here except a memory instruction's L1
-// misses, which it leaves in pend for the data pass (commitData). It
-// reports whether anything issued and the next cycle at which this core
-// has work to do.
-func (c *Core) tick(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
-	c.gated = c.gated[:0]
-	if len(c.blocks) == 0 {
-		return false, noEvent
-	}
+// tick issues at most one ready warp instruction, trying warps in
+// scheduler order. Everything an issued instruction does runs here except
+// a memory instruction's L1 misses, which it leaves in pend for the data
+// pass (commitData). It returns the next cycle at which this core has work
+// to do.
+func (c *Core) tick(now engine.Cycle) engine.Cycle {
 	for _, b := range c.blocks {
 		if b.tbc != nil {
 			b.tbc.maintain(now)
@@ -301,11 +253,14 @@ func (c *Core) tick(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
 		// here with live blocks but no warps means TBC bookkeeping has
 		// pending work next maintain round.
 		c.wakeAt = now + 1
-		return false, now + 1
+		return now + 1
 	}
 
 	// The issue stage drains one warp instruction every IssuePeriod
-	// cycles (WarpWidth lanes through an IssueWidth-wide pipeline).
+	// cycles (WarpWidth lanes through an IssueWidth-wide pipeline). A
+	// sleeping core wakes no earlier than nextIssue, so only a core that
+	// ticks at every step gets here. The warp scan's events decide where
+	// the global steps fall, which such a core's score decay depends on.
 	if c.nextIssue > now {
 		next := c.nextIssue
 		for _, w := range warps {
@@ -313,52 +268,42 @@ func (c *Core) tick(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
 				next = w.readyAt
 			}
 		}
-		c.wakeAt, c.sleepCap = c.nextIssue, c.nextIssue
-		return false, next
+		c.wakeAt = c.nextIssue
+		return next
 	}
 
-	order := c.sched.order(now, warps)
-	issued := 0
 	memGated := false
-	for _, w := range order {
-		if issued >= 1 {
-			break
-		}
+	for _, w := range c.sched.order(now, warps) {
 		if w.state != WReady || w.readyAt > now {
 			continue
 		}
-		ok, gated := c.step(now, w)
-		if gated {
+		if !c.step(now, w) {
 			memGated = true
+			continue
 		}
-		if ok {
-			issued++
-			c.lastIssued = w
-		}
-	}
-	if issued > 0 {
-		c.gated = c.gated[:0]
+		c.lastIssued = w
 		c.sched.afterIssue()
+		// The core idled from the end of its last issue period until now.
+		c.st.IdleCycles.Add(uint64(now - c.nextIssue))
 		c.nextIssue = now + engine.Cycle(c.g.cfg.IssuePeriod())
-		c.wakeAt, c.sleepCap = c.nextIssue, c.nextIssue
-		return true, c.nextIssue
+		c.wakeAt = c.nextIssue
+		return c.nextIssue
 	}
 
 	// Nothing issued: find the next event.
-	next = noEvent
+	next := noEvent
 	for _, w := range warps {
 		if w.state == WReady && w.readyAt > now && w.readyAt < next {
 			next = w.readyAt
 		}
 	}
 	if memGated {
-		// Nothing but a walk completion opens the gate: until then a
-		// re-tick would repeat exactly the attempts recorded in gated.
+		// Nothing but a walk completion opens the gate.
 		if ev := c.mmu.NextEvent(now); ev != 0 && ev < next {
 			next = ev
 		}
 	}
-	c.wakeAt, c.sleepCap = next, next
+	c.wakeAt = next
 	if next == noEvent {
 		// All warps waiting on barriers/TBC with no timer: the releasing
 		// event happens when another warp arrives, which requires some
@@ -367,53 +312,36 @@ func (c *Core) tick(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
 		for _, w := range warps {
 			if w.state == WReady {
 				c.wakeAt = now + 1
-				return false, now + 1
+				return now + 1
 			}
 		}
 	}
-	return false, next
+	return next
 }
 
-// step executes one instruction of warp w. It returns whether the warp
-// issued and whether it was blocked by the MMU memory gate (blocking TLB
-// semantics: memory instructions stall while walks are outstanding, but
-// non-memory instructions from other warps proceed).
-func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
+// step issues one instruction of warp w, unless it is a memory instruction
+// the MMU memory gate refuses (blocking TLB semantics: memory instructions
+// stall while walks are outstanding, but non-memory instructions from other
+// warps proceed). A refused attempt records nothing. step reports whether
+// the instruction issued.
+func (c *Core) step(now engine.Cycle, w *Warp) bool {
 	pc := w.curPC()
 	in := &c.g.launch.Program.Code[pc]
-	a := issueAttempt{block: int32(w.block.id), warp: int16(w.slot), pc: pc,
-		lanes: int32(countLanes(w.curLanes()))}
-	c.attempt(now, a)
-	if in.Kind == kernels.KindLoad || in.Kind == kernels.KindStore {
-		if !c.mmu.CanAcceptMemOp(now) {
-			c.gated = append(c.gated, a)
-			return false, true
-		}
-		c.execMem(now, w, in)
-		c.st.Instructions.Inc()
-		return true, false
+	isMem := in.Kind == kernels.KindLoad || in.Kind == kernels.KindStore
+	if isMem && !c.mmu.CanAcceptMemOp(now) {
+		return false
 	}
-	c.execCtrlOrALU(now, w, in)
-	c.st.Instructions.Inc()
-	return true, false
-}
-
-// issueAttempt identifies one warp issue attempt: the warp's block and
-// scheduler slot, its PC, and its active lane count. It holds no pointers,
-// so a recorded attempt never keeps a retired block reachable.
-type issueAttempt struct {
-	block int32
-	warp  int16
-	pc    int32
-	lanes int32
-}
-
-// attempt records the side effects of an issue attempt, whether or not it
-// issues: the ActiveLanes observation and, when tracing, the EvIssue event.
-func (c *Core) attempt(now engine.Cycle, a issueAttempt) {
-	c.st.ActiveLanes.Observe(int(a.lanes))
+	lanes := countLanes(w.curLanes())
+	c.st.ActiveLanes.Observe(lanes)
 	if c.g.tracer != nil {
 		c.g.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
-			Block: a.block, Warp: a.warp, A: uint64(a.pc), B: uint64(a.lanes)})
+			Block: int32(w.block.id), Warp: int16(w.slot), A: uint64(pc), B: uint64(lanes)})
 	}
+	if isMem {
+		c.execMem(now, w, in)
+	} else {
+		c.execCtrlOrALU(now, w, in)
+	}
+	c.st.Instructions.Inc()
+	return true
 }

@@ -206,7 +206,8 @@ func TestSamplerFinalRowMatchesReport(t *testing.T) {
 }
 
 // TestMetricsRegistryExact checks that the labelled registry's per-core
-// and per-walker breakdowns sum to the flat report.
+// and per-walker breakdowns sum exactly to the flat report, as GPU.Metrics
+// promises: core.instructions, core.idle_cycles and walker.walks.
 func TestMetricsRegistryExact(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.AugmentedMMU()
@@ -225,10 +226,13 @@ func TestMetricsRegistryExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := g.Metrics
-	var perCore, perWalker uint64
+	var perCore, perCoreIdle, perWalker uint64
 	for i := 0; i < cfg.NumCores; i++ {
 		if m, ok := reg.Lookup(obs.Name("core.instructions", obs.LabelInt("core", i))); ok {
 			perCore += m.Value()
+		}
+		if m, ok := reg.Lookup(obs.Name("core.idle_cycles", obs.LabelInt("core", i))); ok {
+			perCoreIdle += m.Value()
 		}
 		for wi := 0; ; wi++ {
 			m, ok := reg.Lookup(obs.Name("walker.walks", obs.LabelInt("core", i), obs.LabelInt("walker", wi)))
@@ -240,6 +244,9 @@ func TestMetricsRegistryExact(t *testing.T) {
 	}
 	if perCore != st.Instructions.Value() {
 		t.Errorf("per-core instructions sum %d != report %d", perCore, st.Instructions.Value())
+	}
+	if perCoreIdle != st.IdleCycles.Value() || perCoreIdle == 0 {
+		t.Errorf("per-core idle cycles sum %d != report %d (or is zero)", perCoreIdle, st.IdleCycles.Value())
 	}
 	if perWalker != st.Walks.Value() {
 		t.Errorf("per-walker walks sum %d != report %d", perWalker, st.Walks.Value())

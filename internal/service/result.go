@@ -158,10 +158,11 @@ func planLabel(plan gpu.SamplePlan) string {
 
 // Key canonically identifies one simulation for dedup and store lookup:
 // everything that determines its output — workload, dataset scale, seed,
-// sampling plan, and every hardware field via config.Hardware.Key — and
-// nothing that does not (worker counts, checkpointing, observability).
+// sampling plan, the simulator's model version (gpu.ModelVersion), and
+// every hardware field via config.Hardware.Key — and nothing that does not
+// (worker counts, checkpointing, observability).
 func Key(workload string, size workloads.Size, seed uint64, cfg config.Hardware, plan gpu.SamplePlan) string {
-	return fmt.Sprintf("%s|size=%s|seed=%d|plan=%s|%s", workload, size, seed, planLabel(plan), cfg.Key())
+	return fmt.Sprintf("%s|size=%s|seed=%d|plan=%s|model=%d|%s", workload, size, seed, planLabel(plan), gpu.ModelVersion, cfg.Key())
 }
 
 // New builds the envelope for one completed (or failed) run.

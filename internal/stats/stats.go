@@ -194,18 +194,23 @@ type Sim struct {
 	Cycles       uint64 // total cycles until all thread blocks drained
 	Instructions Counter
 	MemInstrs    Counter // warp-level memory instructions issued
-	IdleCycles   Counter // cycles in which a core could issue nothing
-	CoreCycles   uint64  // Cycles summed over every core (for idle fraction)
+	// IdleCycles counts the cycles each core spent live (holding a thread
+	// block) outside an issue period: a core is busy for IssuePeriod cycles
+	// from each instruction it issues and idle for every other live cycle.
+	// Each core charges its own timeline, at its next issue; an aborted
+	// run charges nothing after a core's last issue.
+	IdleCycles Counter
+	CoreCycles uint64 // live cycles summed over every core (for idle fraction)
 
 	// Warp-level memory behaviour.
 	PageDivergence Hist // distinct 4 KB (or 2 MB) translations per warp mem op
 	LineDivergence Hist // distinct cache lines per warp mem op
 
-	// ActiveLanes records active lanes per warp issue *attempt*; its mean
-	// over the warp width is SIMD utilisation (what TBC improves). Attempts
-	// refused by the blocking MMU's memory gate count too, once per global
-	// step the core spends blocked, so on blocking MMUs the histogram is
-	// weighted towards gated memory instructions.
+	// ActiveLanes records the active lanes of each issued warp
+	// instruction, so its count equals Instructions; its mean over the warp
+	// width is SIMD utilisation (what TBC improves). An attempt the
+	// blocking MMU's memory gate refuses issues nothing and records
+	// nothing.
 	ActiveLanes Hist
 
 	// TLB.
